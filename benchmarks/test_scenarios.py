@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import dataclasses
 
-import pytest
-
 from conftest import BENCH_FIDELITY, run_scoring
 
 from repro.analysis.scenarios import time_weighted_ipc, transition_overheads
@@ -25,8 +23,8 @@ from repro.scenarios import (
     ScenarioEngine,
     corun_overlap,
     ramp,
+    solve_scenario_contention,
 )
-from repro.scenarios.contention import solve_phase_contention
 from repro.sim.simulator import SimulationConfig
 from repro.workloads.applications import get_application
 
@@ -108,25 +106,21 @@ def _corun_leaves():
     ]
 
 
-@pytest.mark.parametrize("fast_scoring", (True, False), ids=("fast", "legacy"))
-def test_contention_fixed_point_kernel(benchmark, fast_scoring):
-    """Time the raw fixed-point solve over warm measurements, both paths.
+def test_contention_fixed_point_kernel(benchmark):
+    """Time the raw fixed-point solve of one co-run phase over warm measurements.
 
-    ``fast`` hoists the per-measurement invariants into a precomputed
-    scorer once per resident (the PR 6 satellite); ``legacy`` rebuilds them
-    on every iteration's ``score_measurement`` call.  Solutions are
-    bit-identical (asserted by the tier-1 suite) — only the per-iteration
-    cost differs, and this pair makes the gap visible.
+    The solver hoists the per-measurement invariants into a precomputed
+    scorer once per resident, so each iteration costs only the
+    score-tier arithmetic.
     """
     runner = active_runner()
     leaves = _corun_leaves()
     uncontended = runner.run_leaves(leaves)
     gpu = leaves[0][1].gpu
 
-    solution = benchmark(
-        lambda: solve_phase_contention(
-            runner, gpu, leaves, uncontended, ContentionModel(),
-            fast_scoring=fast_scoring,
+    (solution,) = benchmark(
+        lambda: solve_scenario_contention(
+            runner, gpu, [(leaves, uncontended)], ContentionModel()
         )
     )
 

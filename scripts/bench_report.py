@@ -4,9 +4,8 @@
 analytic re-scoring over one warm replay measurement — the per-point scalar
 :meth:`~repro.sim.performance_model.PerformanceModel.score` loop and the
 vectorized :meth:`~repro.sim.performance_model.PerformanceModel.score_batch`
-pass — across a dense envelope grid, asserts the two are **bit-identical**,
-and times the co-run contention fixed point with and without the
-precomputed-scorer fast path.  Results land in ``BENCH_scoring.json``.
+pass — across a dense envelope grid and asserts the two are
+**bit-identical**.  Results land in ``BENCH_scoring.json``.
 
 ``--benchmark runner`` times cold-plan leaf throughput through the
 distributed experiment service at 1 worker vs ``--workers`` workers (fresh
@@ -22,10 +21,10 @@ and in-loop memo hit rates, with the zero-replay-miss contract asserted —
 and writes ``BENCH_search.json``.
 
 ``--benchmark scenarios`` times a 5,000-phase ``fleet`` timeline through
-the scenario engine with phase-signature dedup on and off (fresh cache per
-mode): cold and warm wall-clock, the dedup hit rate, per-mode peak traced
-memory of a warm run plus process peak RSS, with per-phase bit-identity
-between the two modes asserted.  Results land in ``BENCH_scenarios.json``.
+the scenario engine from a fresh cache: cold and warm wall-clock, the dedup
+hits and signature count, the peak traced memory of a warm run plus process
+peak RSS, with cold/warm per-phase bit-identity and a replay-free warm
+reload asserted.  Results land in ``BENCH_scenarios.json``.
 
 Usage::
 
@@ -52,11 +51,8 @@ import time
 from pathlib import Path
 
 from repro.runner import ExperimentRunner
-from repro.scenarios import ContentionModel
-from repro.scenarios.contention import solve_phase_contention
 from repro.sim.performance_model import PerformanceModel, ResourceEnvelope
 from repro.sim.simulator import SimulationConfig
-from repro.sim.vector_model import have_numpy
 from repro.systems.fidelity import FAST_FIDELITY, Fidelity
 from repro.workloads.applications import get_application
 
@@ -167,49 +163,6 @@ def benchmark_batch_scoring(
         "scalar_seconds_median": scalar_stats["median"],
         "batch_seconds": batch_stats["min"],
         "batch_seconds_median": batch_stats["median"],
-        "speedup": speedup,
-        "bit_identical": True,
-    }
-
-
-def benchmark_contention_solve(
-    runner, fidelity: Fidelity, repeats: int, rounds: int = 1
-):
-    """Warm contention fixed point: precomputed scorers vs per-call scoring."""
-    leaves = [
-        (
-            get_application(app),
-            _config(fidelity, num_compute_sms=sms, system_name=app),
-        )
-        for app, sms in (("spmv", 28), ("cfd", 24))
-    ]
-    uncontended = runner.run_leaves(leaves)
-    gpu = leaves[0][1].gpu
-    model = ContentionModel()
-
-    def solve(fast_scoring: bool):
-        return solve_phase_contention(
-            runner, gpu, leaves, uncontended, model, fast_scoring=fast_scoring
-        )
-
-    fast = solve(True)
-    legacy = solve(False)
-    for fast_stats, legacy_stats in zip(fast.stats, legacy.stats):
-        if dataclasses.asdict(fast_stats) != dataclasses.asdict(legacy_stats):
-            raise AssertionError(
-                "fast-scoring contention solution diverged from the legacy path"
-            )
-
-    legacy_stats, fast_stats, speedup = _paired_speedup(
-        lambda: solve(False), lambda: solve(True), repeats, rounds
-    )
-    return {
-        "residents": len(leaves),
-        "iterations": fast.iterations,
-        "fast_seconds": fast_stats["min"],
-        "fast_seconds_median": fast_stats["median"],
-        "legacy_seconds": legacy_stats["min"],
-        "legacy_seconds_median": legacy_stats["median"],
         "speedup": speedup,
         "bit_identical": True,
     }
@@ -348,19 +301,19 @@ def benchmark_search(fidelity: Fidelity, steps: int, seed: int, agent_name: str)
 
 
 def benchmark_scenarios(fidelity: Fidelity, phases: int, warm_repeats: int):
-    """Fleet-scale scenario engine: phase-signature dedup on vs off.
+    """Fleet-scale scenario engine: cold solve and warm reload.
 
     A seeded ``fleet`` timeline of ``phases`` phases runs through the
-    scenario engine twice — once with ``phase_dedup=False`` (the per-phase
-    reference path) and once with the signature-dedup path — each in its
-    own fresh cache directory.  For each mode the cold run and ``warm_repeats``
-    warm runs (fresh runner sharing the cache, zero replay-tier traffic
-    asserted) are timed, and one extra untimed warm run is traced with
-    ``tracemalloc`` to capture the peak allocated memory of loading the
-    timeline plus folding it through the streaming
-    :class:`~repro.analysis.scenarios.ScenarioAccumulator`.  Bit-identity of
-    every per-phase execution across the two modes is asserted before any
-    number is reported.
+    scenario engine in a fresh cache directory.  The cold run and
+    ``warm_repeats`` warm runs (fresh runner sharing the cache, zero
+    replay-tier traffic asserted) are timed, and one extra untimed warm run
+    is traced with ``tracemalloc`` to capture the peak allocated memory of
+    loading the timeline plus folding it through the streaming
+    :class:`~repro.analysis.scenarios.ScenarioAccumulator`.  The warm
+    reload's per-phase executions must be bit-identical to the cold run's
+    before any number is reported.  (Bit-identity against the per-phase
+    reference is asserted by the tier-1 tests through
+    ``tests/scenarios/scenario_test_utils.py::per_phase_reference``.)
     """
     import hashlib
     import resource
@@ -378,92 +331,55 @@ def benchmark_scenarios(fidelity: Fidelity, phases: int, warm_repeats: int):
             hasher.update(repr(dataclasses.asdict(execution)).encode("utf-8"))
         return hasher.hexdigest()
 
-    def run_mode(dedup: bool):
-        with tempfile.TemporaryDirectory(prefix="repro-bench-scen-") as cache_dir:
+    with tempfile.TemporaryDirectory(prefix="repro-bench-scen-") as cache_dir:
+        started = time.perf_counter()
+        runner = ExperimentRunner(cache_dir=cache_dir, max_workers=0)
+        cold_result = ScenarioEngine(runner=runner, fidelity=fidelity).run(
+            scenario, system
+        )
+        cold_seconds = time.perf_counter() - started
+
+        warm_samples = []
+        for _ in range(warm_repeats):
+            runner = ExperimentRunner(cache_dir=cache_dir, max_workers=0)
+            engine = ScenarioEngine(runner=runner, fidelity=fidelity)
             started = time.perf_counter()
-            runner = ExperimentRunner(cache_dir=cache_dir, max_workers=0)
-            engine = ScenarioEngine(
-                runner=runner, fidelity=fidelity, phase_dedup=dedup
-            )
-            cold_result = engine.run(scenario, system)
-            cold_seconds = time.perf_counter() - started
-
-            warm_samples = []
-            for _ in range(warm_repeats):
-                runner = ExperimentRunner(cache_dir=cache_dir, max_workers=0)
-                engine = ScenarioEngine(
-                    runner=runner, fidelity=fidelity, phase_dedup=dedup
+            warm_result = engine.run(scenario, system)
+            warm_samples.append(time.perf_counter() - started)
+            if runner.replays or runner.disk_cache.replay_misses:
+                raise AssertionError(
+                    "warm scenario run touched the replay tier "
+                    f"({runner.replays} replays, "
+                    f"{runner.disk_cache.replay_misses} misses)"
                 )
-                started = time.perf_counter()
-                warm_result = engine.run(scenario, system)
-                warm_samples.append(time.perf_counter() - started)
-                if runner.replays or runner.disk_cache.replay_misses:
-                    raise AssertionError(
-                        f"warm scenario run (dedup={dedup}) touched the replay "
-                        f"tier ({runner.replays} replays, "
-                        f"{runner.disk_cache.replay_misses} misses)"
-                    )
 
-            # Peak allocated memory of the steady-state consumer path: load
-            # the warm timeline and fold it straight into running aggregates.
-            runner = ExperimentRunner(cache_dir=cache_dir, max_workers=0)
-            engine = ScenarioEngine(
-                runner=runner, fidelity=fidelity, phase_dedup=dedup
-            )
-            tracemalloc.start()
-            traced_result = engine.run(scenario, system)
-            aggregates = ScenarioAccumulator.from_result(traced_result).aggregates()
-            _, peak_bytes = tracemalloc.get_traced_memory()
-            tracemalloc.stop()
+        # Peak allocated memory of the steady-state consumer path: load
+        # the warm timeline and fold it straight into running aggregates.
+        runner = ExperimentRunner(cache_dir=cache_dir, max_workers=0)
+        engine = ScenarioEngine(runner=runner, fidelity=fidelity)
+        tracemalloc.start()
+        traced_result = engine.run(scenario, system)
+        ScenarioAccumulator.from_result(traced_result).aggregates()
+        _, peak_bytes = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
 
-        digest = phase_digest(warm_result)
-        if phase_digest(cold_result) != digest:
-            raise AssertionError(
-                f"warm scenario reload (dedup={dedup}) diverged from the cold "
-                "run — the persistence round-trip is not bit-identical"
-            )
-        return {
-            "cold_result": cold_result,
-            "aggregates": aggregates,
-            "digest": digest,
-            "stats": {
-                "cold_seconds": cold_seconds,
-                "warm_seconds": min(warm_samples),
-                "warm_seconds_median": statistics.median(warm_samples),
-                "warm_peak_traced_mib": peak_bytes / (1024.0 * 1024.0),
-            },
-        }
-
-    per_phase = run_mode(False)
-    dedup = run_mode(True)
-
-    if per_phase["digest"] != dedup["digest"]:
+    if phase_digest(cold_result) != phase_digest(warm_result):
         raise AssertionError(
-            "signature-dedup timeline diverged from the per-phase reference "
-            "path — the bit-identity contract is broken"
+            "warm scenario reload diverged from the cold run — the "
+            "persistence round-trip is not bit-identical"
         )
-    if per_phase["aggregates"] != dedup["aggregates"]:
-        raise AssertionError(
-            "streaming aggregates diverged between the dedup and per-phase "
-            "modes — the bit-identity contract is broken"
-        )
-
-    signatures = len(dedup["cold_result"].signatures)
-    dedup_hits = dedup["cold_result"].dedup_hits
-    per_phase_stats = per_phase["stats"]
-    dedup_stats = dedup["stats"]
     return {
         "phases": phases,
-        "signatures": signatures,
-        "dedup_hits": dedup_hits,
-        "dedup_hit_rate": dedup_hits / phases,
+        "signatures": len(cold_result.signatures),
+        "dedup_hits": cold_result.dedup_hits,
+        "dedup_hit_rate": cold_result.dedup_hits / phases,
         "warm_repeats": warm_repeats,
-        "per_phase": per_phase_stats,
-        "dedup": dedup_stats,
-        "cold_speedup": per_phase_stats["cold_seconds"] / dedup_stats["cold_seconds"],
-        "warm_speedup": per_phase_stats["warm_seconds"] / dedup_stats["warm_seconds"],
+        "cold_seconds": cold_seconds,
+        "warm_seconds": min(warm_samples),
+        "warm_seconds_median": statistics.median(warm_samples),
+        "warm_peak_traced_mib": peak_bytes / (1024.0 * 1024.0),
         "peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
-        "bit_identical": True,
+        "cold_equals_warm": True,
         "replay_misses_warm": 0,
     }
 
@@ -579,7 +495,7 @@ def main(argv=None) -> int:
             report = {
                 "benchmark": "scenarios",
                 "smoke": args.smoke,
-                "fleet_dedup": benchmark_scenarios(
+                "fleet": benchmark_scenarios(
                     fidelity, phases, max(1, warm_repeats)
                 ),
             }
@@ -599,13 +515,6 @@ def main(argv=None) -> int:
         else:
             repeats = args.repeats if args.repeats is not None else (5 if args.smoke else 60)
             rounds = args.rounds if args.rounds is not None else (1 if args.smoke else 6)
-            if not have_numpy():
-                print(
-                    "FAIL: numpy is unavailable — the vectorized path under test "
-                    "cannot run (scalar fallback only)",
-                    file=sys.stderr,
-                )
-                return 1
             with tempfile.TemporaryDirectory(prefix="repro-bench-scoring-") as cache_dir:
                 runner = ExperimentRunner(cache_dir=cache_dir, max_workers=0)
                 report = {
@@ -615,9 +524,6 @@ def main(argv=None) -> int:
                     "rounds": rounds,
                     "batch_scoring": benchmark_batch_scoring(
                         runner, fidelity, args.points, repeats, rounds
-                    ),
-                    "contention_solve": benchmark_contention_solve(
-                        runner, fidelity, repeats, rounds
                     ),
                 }
 
@@ -648,13 +554,15 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
     elif args.benchmark == "scenarios":
-        fleet_report = report["fleet_dedup"]
+        fleet_report = report["fleet"]
         print(
-            f"\nfleet dedup: {fleet_report['warm_speedup']:.1f}x warm over the "
-            f"per-phase path ({fleet_report['phases']} phases -> "
-            f"{fleet_report['signatures']} signatures, "
-            f"{fleet_report['dedup_hit_rate']:.2%} dedup hit rate, "
-            f"cold {fleet_report['cold_speedup']:.2f}x, bit-identical)",
+            f"\nfleet: {fleet_report['phases']} phases -> "
+            f"{fleet_report['signatures']} signatures "
+            f"({fleet_report['dedup_hit_rate']:.2%} dedup hit rate), cold "
+            f"{fleet_report['cold_seconds']:.2f}s, warm "
+            f"{fleet_report['warm_seconds']:.3f}s "
+            f"({fleet_report['warm_peak_traced_mib']:.1f} MiB traced peak), "
+            "cold == warm",
             file=sys.stderr,
         )
     elif args.benchmark == "runner":
@@ -669,11 +577,9 @@ def main(argv=None) -> int:
         )
     else:
         batch = report["batch_scoring"]["speedup"]
-        solve = report["contention_solve"]["speedup"]
         print(
             f"\nbatch scoring: {batch:.1f}x over scalar "
-            f"({report['batch_scoring']['points']} points); "
-            f"contention solve: {solve:.2f}x with precomputed scorers",
+            f"({report['batch_scoring']['points']} points)",
             file=sys.stderr,
         )
     return 0

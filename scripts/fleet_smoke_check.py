@@ -137,10 +137,13 @@ def main() -> int:
             f"warm pass loaded {warm_tiers['scenario_hits']} scenario-tier "
             "payloads — the whole timeline should be one aggregate"
         )
-    if warm_result.signatures is None:
+    warm_counts = [execution.count for execution in warm_result.signatures]
+    if warm_counts != [execution.count for execution in cold_result.signatures]:
+        failures.append("warm signature counts differ from the cold pass's")
+    if sum(warm_counts) != len(warm_result):
         failures.append(
-            "warm result lost its signatures — the persisted payload is not "
-            "the signature-keyed layout"
+            f"warm signature counts sum to {sum(warm_counts)}, not the "
+            f"{len(warm_result)} phases"
         )
     if snapshot(cold_result) != snapshot(warm_result):
         failures.append("fleet timeline differs between cold and warm passes")

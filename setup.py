@@ -1,8 +1,7 @@
 """Packaging metadata for the Morpheus reproduction.
 
-numpy backs the vectorized batch-scoring path (``repro.sim.vector_model``);
-the code degrades to the bit-identical scalar loop when it is missing, but
-installs declare it so every deployment gets the fast path.
+numpy backs the vectorized batch-scoring path (``repro.sim.vector_model``)
+and is a required dependency.
 """
 
 from setuptools import find_packages, setup

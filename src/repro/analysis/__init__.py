@@ -21,7 +21,6 @@ from repro.analysis.scenarios import (
     SlowdownStats,
     TransitionOverheads,
     compare_runs,
-    phase_slowdowns,
     phase_table,
     scenario_energy_j,
     slowdown_stats,
@@ -51,7 +50,6 @@ __all__ = [
     "normalize",
     "normalized_series",
     "peak_ipc_sweep",
-    "phase_slowdowns",
     "phase_table",
     "scenario_energy_j",
     "slowdown_stats",

@@ -20,11 +20,11 @@ turns that into the timeline-level numbers the scenario studies report:
   component, with transitions reported separately);
 * :func:`phase_table` / :func:`corun_table` / :func:`compare_runs` —
   human-readable reports;
-* :class:`ScenarioAccumulator` — a **streaming** fold of the same
-  aggregates: one pass over ``result.phases`` in timeline order, O(distinct
-  signatures) running state, bit-identical to the list-based functions
-  above, plus weighted p50/p95/p99 per-application phase-slowdown
-  percentiles for fleet SLA reporting.
+* :class:`ScenarioAccumulator` — the one reduction behind them all: a
+  **streaming** fold over ``result.phases`` in timeline order with
+  O(distinct signatures) running state, which also yields weighted
+  p50/p95/p99 per-application phase-slowdown percentiles for fleet SLA
+  reporting.
 
 Everything here is pure post-processing of already-cached leaf results:
 re-running an analysis never touches the replay tier.
@@ -33,7 +33,7 @@ re-running an analysis never touches the replay tier.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
 
 from repro.analysis.report import format_table
 from repro.energy.components import ComponentEnergies, DEFAULT_ENERGIES
@@ -84,35 +84,19 @@ def time_weighted_ipc(result: ScenarioRunResult) -> float:
     return result.total_instructions / result.total_cycles
 
 
+def _aggregates(
+    result: ScenarioRunResult, energies: ComponentEnergies = DEFAULT_ENERGIES
+) -> "ScenarioAggregates":
+    """One streaming pass over ``result`` (see :class:`ScenarioAccumulator`)."""
+    return ScenarioAccumulator.from_result(result, energies=energies).aggregates()
+
+
 def transition_overheads(
     result: ScenarioRunResult,
     energies: ComponentEnergies = DEFAULT_ENERGIES,
 ) -> TransitionOverheads:
     """Aggregate the flush/warm-up costs of one timeline run."""
-    transitions = 0
-    flush_cycles = 0.0
-    warmup_cycles = 0.0
-    flushed = 0.0
-    filled = 0.0
-    for execution in result.phases:
-        cost = execution.decision.transition
-        if cost.is_zero:
-            continue
-        transitions += 1
-        flush_cycles += cost.flush_cycles
-        warmup_cycles += cost.warmup_cycles
-        flushed += cost.flushed_dirty_bytes
-        filled += cost.warmup_fill_bytes
-    total = result.total_cycles
-    return TransitionOverheads(
-        transitions=transitions,
-        flush_cycles=flush_cycles,
-        warmup_cycles=warmup_cycles,
-        flushed_dirty_bytes=flushed,
-        warmup_fill_bytes=filled,
-        dram_energy_j=(flushed + filled) * energies.dram_pj_per_byte * _PJ_TO_J,
-        overhead_fraction=(flush_cycles + warmup_cycles) / total if total > 0 else 0.0,
-    )
+    return _aggregates(result, energies).transitions
 
 
 def scenario_energy_j(
@@ -130,15 +114,7 @@ def scenario_energy_j(
     energies (a pessimistic bound: each leaf already accounts its own
     share of the uncore).
     """
-    total = 0.0
-    for execution in result.phases:
-        for resident in execution.residents:
-            breakdown = resident.stats.energy
-            if breakdown is None or resident.stats.instructions <= 0:
-                continue
-            scale = resident.instructions / resident.stats.instructions
-            total += breakdown.total_j * scale
-    return total + transition_overheads(result, energies).dram_energy_j
+    return _aggregates(result, energies).energy_j
 
 
 def phase_table(result: ScenarioRunResult) -> str:
@@ -234,46 +210,7 @@ def per_app_timelines(result: ScenarioRunResult) -> Dict[str, AppTimeline]:
     The building block of the co-run metrics: for a single-tenant timeline
     it degenerates to one entry whose IPC is the run's time-weighted IPC.
     """
-    order = result.scenario.applications
-    instructions = {name: 0.0 for name in order}
-    resident_cycles = {name: 0.0 for name in order}
-    transition_cycles = {name: 0.0 for name in order}
-    weighted_ipc = {name: 0.0 for name in order}
-    weighted_uncontended_ipc = {name: 0.0 for name in order}
-    resident_weight = {name: 0.0 for name in order}
-    compute_sm_cycles = {name: 0.0 for name in order}
-    cache_sm_cycles = {name: 0.0 for name in order}
-    for execution in result.phases:
-        stall = execution.decision.transition.total_cycles
-        weight = execution.phase.duration_weight
-        for resident in execution.residents:
-            name = resident.application
-            instructions[name] += resident.instructions
-            resident_cycles[name] += execution.cycles
-            transition_cycles[name] += stall
-            weighted_ipc[name] += weight * resident.stats.ipc
-            weighted_uncontended_ipc[name] += weight * resident.uncontended_ipc
-            resident_weight[name] += weight
-            compute_sm_cycles[name] += resident.grant.compute_sms * execution.cycles
-            cache_sm_cycles[name] += resident.grant.cache_sms * execution.cycles
-    timelines = {}
-    for name in order:
-        cycles = resident_cycles[name]
-        weight = resident_weight[name]
-        timelines[name] = AppTimeline(
-            application=name,
-            instructions=instructions[name],
-            resident_cycles=cycles,
-            transition_cycles=transition_cycles[name],
-            ipc=instructions[name] / cycles if cycles > 0 else 0.0,
-            slice_ipc=weighted_ipc[name] / weight if weight > 0 else 0.0,
-            uncontended_slice_ipc=(
-                weighted_uncontended_ipc[name] / weight if weight > 0 else 0.0
-            ),
-            mean_compute_sms=compute_sm_cycles[name] / cycles if cycles > 0 else 0.0,
-            mean_cache_sms=cache_sm_cycles[name] / cycles if cycles > 0 else 0.0,
-        )
-    return timelines
+    return _aggregates(result).timelines
 
 
 def _normalized_progress(
@@ -524,38 +461,6 @@ def weighted_percentile(
     return values[-1]
 
 
-def phase_slowdowns(
-    result: ScenarioRunResult,
-    reference_ipc: Optional[Mapping[str, float]] = None,
-) -> Dict[str, List[Tuple[float, float]]]:
-    """Per-application (slowdown, duration weight) pairs, in phase order.
-
-    A resident's phase slowdown is ``reference IPC / contended IPC`` —
-    how much slower the phase ran than its reference.  With
-    ``reference_ipc`` (solo references from
-    :meth:`~repro.scenarios.engine.ScenarioEngine.solo_reference_ipcs`)
-    the slowdown is relative to running alone; without it, relative to the
-    resident's own **uncontended** IPC, isolating shared-bandwidth
-    interference.  This is the O(phases) reference the streaming
-    accumulator's grouped slowdown state is tested against.
-    """
-    pairs: Dict[str, List[Tuple[float, float]]] = {
-        name: [] for name in result.scenario.applications
-    }
-    for execution in result.phases:
-        weight = execution.phase.duration_weight
-        for resident in execution.residents:
-            reference = (
-                reference_ipc[resident.application]
-                if reference_ipc is not None
-                else resident.uncontended_ipc
-            )
-            ipc = resident.stats.ipc
-            slowdown = reference / ipc if ipc > 0.0 and reference > 0.0 else 0.0
-            pairs[resident.application].append((slowdown, weight))
-    return pairs
-
-
 @dataclass(frozen=True)
 class SlowdownStats:
     """Weighted phase-slowdown percentiles of one application.
@@ -564,8 +469,9 @@ class SlowdownStats:
         application: The application name.
         weight: Total duration weight of the phases it was resident in.
         p50/p95/p99: Weighted nearest-rank percentiles of its per-phase
-            slowdown (see :func:`phase_slowdowns`) — the fleet SLA view:
-            p99 is the slowdown its worst 1% of resident time exceeded.
+            slowdown (see :class:`ScenarioAccumulator`) — the fleet SLA
+            view: p99 is the slowdown its worst 1% of resident time
+            exceeded.
         max: The worst per-phase slowdown.
     """
 
@@ -601,11 +507,10 @@ def slowdown_stats(
 class ScenarioAggregates:
     """Every timeline-level aggregate of one run, computed in one pass.
 
-    Field-for-field bit-identical to the list-based functions: matching
-    :func:`time_weighted_ipc`, :func:`scenario_energy_j`,
-    :func:`transition_overheads` and :func:`per_app_timelines`, plus the
-    per-application :class:`SlowdownStats` that only the streaming pass
-    provides.
+    :func:`scenario_energy_j`, :func:`transition_overheads` and
+    :func:`per_app_timelines` read their fields from here, and
+    ``time_weighted_ipc`` equals :func:`time_weighted_ipc`; the
+    per-application :class:`SlowdownStats` are only available here.
     """
 
     phases: int
@@ -624,15 +529,19 @@ class ScenarioAccumulator:
     """Streaming one-pass aggregation of a timeline run.
 
     Feed phases **in timeline order** via :meth:`add` (float sums are
-    order-sensitive; phase order is what the list-based reductions use),
-    then read :meth:`aggregates`.  Running state is O(applications +
-    distinct slowdown values) — for a signature-deduplicated fleet run
-    that is O(signatures), never O(phases), so folding a lazy
+    order-sensitive), then read :meth:`aggregates`.  Running state is
+    O(applications + distinct slowdown values) — for a fleet run that is
+    O(signatures), never O(phases), so folding a lazy
     :class:`~repro.scenarios.engine.SignaturePhases` view aggregates a
     10k-phase timeline without ever materializing a 10k-element list.
 
-    ``reference_ipc`` selects the slowdown reference exactly as in
-    :func:`phase_slowdowns`; every other aggregate ignores it.
+    A resident's phase slowdown is ``reference IPC / contended IPC`` —
+    how much slower the phase ran than its reference.  With
+    ``reference_ipc`` (solo references from
+    :meth:`~repro.scenarios.engine.ScenarioEngine.solo_reference_ipcs`)
+    the slowdown is relative to running alone; without it, relative to the
+    resident's own **uncontended** IPC, isolating shared-bandwidth
+    interference.  Every other aggregate ignores ``reference_ipc``.
     """
 
     def __init__(
@@ -806,17 +715,18 @@ def compare_runs(
     """Side-by-side timeline comparison (one row per labelled run)."""
     rows = []
     for label, result in results.items():
-        overheads = transition_overheads(result, energies)
+        aggregates = _aggregates(result, energies)
+        overheads = aggregates.transitions
         rows.append(
             [
                 label,
                 result.system,
                 result.policy_name,
-                time_weighted_ipc(result),
-                result.total_cycles,
+                aggregates.time_weighted_ipc,
+                aggregates.total_cycles,
                 overheads.total_cycles,
                 f"{overheads.overhead_fraction:.3%}",
-                scenario_energy_j(result, energies),
+                aggregates.energy_j,
             ]
         )
     return format_table(

@@ -165,18 +165,6 @@ class MorpheusConfig:
 
     # -- variant helpers -------------------------------------------------------
 
-    def with_optimizations(
-        self, compression: bool | None = None, indirect_mov: bool | None = None
-    ) -> "MorpheusConfig":
-        """Return a copy toggling the two optimizations (builds the four variants)."""
-        return replace(
-            self,
-            enable_compression=self.enable_compression if compression is None else compression,
-            enable_indirect_mov_isa=(
-                self.enable_indirect_mov_isa if indirect_mov is None else indirect_mov
-            ),
-        )
-
     def with_predictor(self, predictor: str) -> "MorpheusConfig":
         """Return a copy using a different hit/miss predictor flavour."""
         return replace(self, predictor=predictor)

@@ -17,7 +17,6 @@ from repro.scenarios.contention import (
     ContentionModel,
     PhaseContentionSolution,
     proportional_pressure_shares,
-    solve_phase_contention,
     solve_scenario_contention,
 )
 from repro.scenarios.engine import (
@@ -108,7 +107,6 @@ __all__ = [
     "mixed_tenancy",
     "proportional_pressure_shares",
     "ramp",
-    "solve_phase_contention",
     "solve_scenario_contention",
     "steady",
 ]

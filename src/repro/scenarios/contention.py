@@ -138,124 +138,6 @@ def _envelope(shares: Dict[str, float]) -> ResourceEnvelope:
     )
 
 
-def solve_phase_contention(
-    runner: "ExperimentRunner",
-    gpu: "GPUConfig",
-    leaves: Sequence[Tuple["ApplicationProfile", "SimulationConfig"]],
-    uncontended: Sequence[SimulationStats],
-    model: ContentionModel,
-    fast_scoring: bool = True,
-) -> PhaseContentionSolution:
-    """Solve one phase's shared-bandwidth contention by fixed-point re-scoring.
-
-    ``leaves`` are the phase's per-resident (profile, config) pairs —
-    configs at the default envelope — and ``uncontended`` their
-    already-scored default-envelope stats.  Single-resident phases (and a
-    disabled model) return the uncontended stats unchanged, guaranteeing
-    single-tenant timelines are bit-identical to the pre-contention model.
-
-    Each leaf's replay measurement is fetched **once**
-    (:meth:`~repro.runner.runner.ExperimentRunner.measurement_for` — a
-    cache hit on any warm runner) and the iterations score it in-process
-    (:meth:`~repro.runner.runner.ExperimentRunner.score_measurement`, a
-    pure function), so the solve costs arithmetic, not cache traffic.
-    Only the *converged* contended configs go back through the two-phase
-    cache, landing in the stats tier under their envelope score keys.  No
-    trace is ever re-replayed.
-
-    With ``fast_scoring`` (the default) each resident gets a precomputed
-    :class:`~repro.sim.vector_model.MeasurementScorer` and the iterations
-    call its :meth:`~repro.sim.vector_model.MeasurementScorer.score_envelope`
-    scalar fast path — the per-measurement invariants (hit rates, bytes per
-    kilo-instruction, ``shared_bandwidth_capacities``) are hoisted out of
-    the loop instead of being rebuilt every iteration.  Results are
-    bit-identical to the legacy per-call path (``fast_scoring=False``,
-    kept for benchmarking).
-    """
-    count = len(leaves)
-    envelopes = tuple(DEFAULT_ENVELOPE for _ in range(count))
-    if count <= 1 or not model.enabled:
-        return PhaseContentionSolution(
-            stats=tuple(uncontended),
-            envelopes=envelopes,
-            uncontended=tuple(uncontended),
-            iterations=0,
-            converged=True,
-        )
-
-    measurements = [
-        runner.measurement_for(profile, config) for profile, config in leaves
-    ]
-    scorers = None
-    if fast_scoring:
-        scorers = [
-            runner.scorer_for(profile, config, measurement)
-            for (profile, config), measurement in zip(leaves, measurements)
-        ]
-    shares = [{channel: 1.0 for channel in SHARED_CHANNELS} for _ in range(count)]
-    stats: List[SimulationStats] = list(uncontended)
-    iterations = 0
-    converged = False
-    movement = 0.0
-    tel = telemetry()
-    with tel.span("contention.solve", residents=count) as span:
-        for iterations in range(1, model.max_iterations + 1):
-            demands = [shared_bandwidth_demand(entry, gpu) for entry in stats]
-            targets = proportional_pressure_shares(demands)
-            movement = 0.0
-            for index in range(count):
-                for channel in SHARED_CHANNELS:
-                    current = shares[index][channel]
-                    stepped = current + model.damping * (
-                        targets[index][channel] - current
-                    )
-                    stepped = min(1.0, max(MIN_SHARE, stepped))
-                    movement = max(movement, abs(stepped - current))
-                    shares[index][channel] = stepped
-            envelopes = tuple(_envelope(shares[index]) for index in range(count))
-            if scorers is not None:
-                stats = [
-                    scorer.score_envelope(envelope)
-                    for scorer, envelope in zip(scorers, envelopes)
-                ]
-            else:
-                stats = [
-                    runner.score_measurement(
-                        profile,
-                        dataclasses.replace(config, envelope=envelope),
-                        measurement,
-                    )
-                    for (profile, config), envelope, measurement in zip(
-                        leaves, envelopes, measurements
-                    )
-                ]
-            if tel.enabled:
-                tel.observe("contention.residual", movement)
-            if movement < model.tolerance:
-                converged = True
-                break
-        span.set(iterations=iterations, converged=converged)
-    if tel.enabled:
-        tel.observe("contention.iterations", iterations)
-    # Persist the converged contended results through the ordinary
-    # two-phase cache (their score keys embed the solved envelopes);
-    # scoring is pure, so this returns bit-identically what the last
-    # iteration computed.
-    final = runner.run_leaves(
-        [
-            (profile, dataclasses.replace(config, envelope=envelope))
-            for (profile, config), envelope in zip(leaves, envelopes)
-        ]
-    )
-    return PhaseContentionSolution(
-        stats=tuple(final),
-        envelopes=envelopes,
-        uncontended=tuple(uncontended),
-        iterations=iterations,
-        converged=converged,
-    )
-
-
 def solve_scenario_contention(
     runner: "ExperimentRunner",
     gpu: "GPUConfig",
@@ -267,25 +149,34 @@ def solve_scenario_contention(
     ],
     model: ContentionModel,
 ) -> List[PhaseContentionSolution]:
-    """Solve many distinct co-run signatures' contention as one batch.
+    """Solve co-run phases' shared-bandwidth contention by fixed-point re-scoring.
 
     ``groups`` holds one ``(leaves, uncontended)`` pair per *distinct*
     phase signature of a timeline (thousands of phases collapse to tens of
-    groups).  The iteration arithmetic per group is exactly
-    :func:`solve_phase_contention`'s fast path — same damping, same share
-    clamps, same scoring order — so the solutions are bit-identical to
-    solving each group on its own.  What the batch changes is the work
-    around the arithmetic:
+    groups; pass a one-element list to solve a single phase): ``leaves``
+    are the phase's per-resident (profile, config) pairs — configs at the
+    default envelope — and ``uncontended`` their already-scored
+    default-envelope stats.  Single-resident groups (and a disabled model)
+    return the uncontended stats unchanged, guaranteeing single-tenant
+    timelines are bit-identical to the pre-contention model.  Groups are
+    solved independently, so each solution is bit-identical to solving
+    that group on its own.
 
-    * the per-leaf replay measurements and precomputed
-      :class:`~repro.sim.vector_model.MeasurementScorer`\\ s are hoisted
-      **across groups** — a leaf shared by several signatures builds its
-      scorer once instead of once per solve;
-    * the converged contended configs of *every* group are persisted through
-      a single :meth:`~repro.runner.runner.ExperimentRunner.run_leaves`
-      batch, so their score-tier evaluations flow through the vectorized
-      ``score_batch`` path across signatures instead of one scalar call
-      per solve.
+    Each leaf's replay measurement is fetched **once**
+    (:meth:`~repro.runner.runner.ExperimentRunner.measurement_for` — a
+    cache hit on any warm runner) and wrapped in a precomputed
+    :class:`~repro.sim.vector_model.MeasurementScorer`, hoisted **across
+    groups** (a leaf shared by several signatures builds its scorer once).
+    The iterations call its
+    :meth:`~repro.sim.vector_model.MeasurementScorer.score_envelope` scalar
+    fast path, which is bit-identical to per-call
+    :meth:`~repro.runner.runner.ExperimentRunner.score_measurement`
+    scoring.  Only the *converged* contended configs of every group go back
+    through the two-phase cache, in a single
+    :meth:`~repro.runner.runner.ExperimentRunner.run_leaves` batch, so
+    their score-tier evaluations flow through the vectorized
+    ``score_batch`` path and land in the stats tier under their envelope
+    score keys.  No trace is ever re-replayed.
 
     Each group's fixed-point wall time lands in the
     ``scenario.signature_solve_seconds`` histogram.

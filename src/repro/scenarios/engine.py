@@ -46,7 +46,6 @@ from repro.runner.spec import content_hash
 from repro.scenarios.contention import (
     ContentionModel,
     PhaseContentionSolution,
-    solve_phase_contention,
     solve_scenario_contention,
 )
 from repro.scenarios.policy import (
@@ -234,7 +233,7 @@ class SignaturePhases(SequenceABC):
     distinct :class:`SignatureExecution` records, the interned transition
     costs, and two int id arrays mapping each phase to its signature and
     transition.  ``__getitem__`` materializes a ``PhaseExecution`` on
-    demand (bit-identical to what the per-phase path would have built);
+    demand (bit-identical to solving that phase on its own);
     iterating never holds more than one phase at a time, so streaming
     consumers keep peak memory bounded by signatures, not phases.
     """
@@ -306,11 +305,9 @@ class SignaturePhases(SequenceABC):
 class ScenarioRunResult:
     """The full outcome of one (scenario, system, policy) timeline run.
 
-    ``phases`` is a sequence of per-phase executions: a materialized tuple
-    on the per-phase path, or a lazy :class:`SignaturePhases` view on the
-    deduplicated path (same elements, O(signatures) memory).  When the run
-    was deduplicated, ``signatures`` additionally exposes the distinct
-    :class:`SignatureExecution` records (``None`` otherwise).
+    ``phases`` is a lazy :class:`SignaturePhases` view of the per-phase
+    executions (O(signatures) memory); ``signatures`` exposes the distinct
+    :class:`SignatureExecution` records behind it.
     """
 
     scenario: ScenarioSpec
@@ -318,8 +315,8 @@ class ScenarioRunResult:
     policy_name: str
     phases: Sequence[PhaseExecution]
     run_key: str
+    signatures: Tuple[SignatureExecution, ...]
     elapsed_seconds: float = 0.0
-    signatures: Optional[Tuple[SignatureExecution, ...]] = None
 
     def __len__(self) -> int:
         return len(self.phases)
@@ -348,9 +345,7 @@ class ScenarioRunResult:
 
     @property
     def dedup_hits(self) -> int:
-        """Phases served by an already-solved signature (0 on the per-phase path)."""
-        if self.signatures is None:
-            return 0
+        """Phases served by an already-solved signature."""
         return len(self.phases) - len(self.signatures)
 
 
@@ -368,13 +363,6 @@ class ScenarioEngine:
         contention: Shared-bandwidth fixed-point solver knobs for co-run
             phases (see :class:`~repro.scenarios.contention.ContentionModel`);
             ``None`` uses the defaults.
-        phase_dedup: Deduplicate phases by :class:`PhaseSignature` on the
-            cold path, solving each distinct signature once (the default).
-            ``False`` keeps the per-phase path — same results, O(phases)
-            work and memory.  The flag is an execution-plan choice, not a
-            semantic one, so it is deliberately **not** part of
-            :meth:`run_key`: both modes read and write the same cache
-            entries and produce bit-identical executions.
     """
 
     def __init__(
@@ -386,7 +374,6 @@ class ScenarioEngine:
         transition_model: Optional[TransitionCostModel] = None,
         predictor: str = "bloom",
         contention: Optional[ContentionModel] = None,
-        phase_dedup: bool = True,
     ) -> None:
         self.runner = runner
         self.gpu = gpu
@@ -395,7 +382,6 @@ class ScenarioEngine:
         self.transition_model = transition_model or TransitionCostModel()
         self.predictor = predictor
         self.contention = contention or ContentionModel()
-        self.phase_dedup = phase_dedup
         self._solo_reference_memo: Dict[str, Dict[str, float]] = {}
 
     def _runner(self) -> ExperimentRunner:
@@ -444,9 +430,10 @@ class ScenarioEngine:
         A single-tenant phase lowers to one leaf; a co-run phase lowers to
         **one leaf per resident**, each simulated at the resident's granted
         compute-SM share and its arbitrated slice of the pooled extended-LLC
-        capacity.  This is the hot path of scenario execution bookkeeping:
-        policy planning plus config construction, benchmarked separately
-        from the (cached) leaf simulations.
+        capacity.  This is the per-phase form of the planning and config
+        construction :meth:`run` performs per distinct signature, exposed
+        for inspection and for the per-phase reference the tests check
+        :meth:`run` against.
         """
         self._validate_demands(scenario)
         profiles = self._profiles(scenario)
@@ -636,20 +623,7 @@ class ScenarioEngine:
         run_key: str,
         start: float,
     ) -> ScenarioRunResult:
-        """The cold path of :meth:`run`: lower, execute, arbitrate, persist."""
-        if self.phase_dedup:
-            return self._run_cold_dedup(scenario, system, policy, run_key, start)
-        return self._run_cold_phases(scenario, system, policy, run_key, start)
-
-    def _run_cold_dedup(
-        self,
-        scenario: ScenarioSpec,
-        system: str,
-        policy: Optional[CapacityPolicy],
-        run_key: str,
-        start: float,
-    ) -> ScenarioRunResult:
-        """Signature-deduplicated cold path: solve per distinct signature.
+        """The cold path of :meth:`run`: solve once per distinct signature.
 
         Phases are canonicalized to :class:`PhaseSignature` *after*
         planning (dynamic policies are history-dependent — hysteresis can
@@ -657,9 +631,9 @@ class ScenarioEngine:
         from the decisions, not the raw phases).  Each distinct signature
         lowers once, enters the leaf batch once, solves contention once and
         builds its :class:`ResidentExecution` tuple once; the per-phase
-        view is reconstructed lazily.  Every computed float goes through
-        exactly the arithmetic of the per-phase path on the same inputs, so
-        the executions are bit-identical.
+        view is reconstructed lazily.  Every float is computed with the same
+        arithmetic as solving each phase on its own (the per-phase reference
+        the tests hold this path to), so the executions are bit-identical.
         """
         runner = self._runner()
         self._validate_demands(scenario)
@@ -717,9 +691,8 @@ class ScenarioEngine:
             tel.count("scenario.dedup.hits", len(signature_ids) - len(signatures))
             tel.count("scenario.dedup.misses", len(signatures))
 
-        # One replay-pooled leaf batch over the distinct signatures' leaves
-        # (phase-order first-seen, exactly the order the per-phase path
-        # discovers them in).
+        # One replay-pooled leaf batch over the distinct signatures' leaves,
+        # in phase-order first-seen order.
         unique: List[Tuple[str, SimulationConfig]] = []
         seen = set()
         for leaves in signature_leaves:
@@ -842,161 +815,7 @@ class ScenarioEngine:
         )
         return result
 
-    def _run_cold_phases(
-        self,
-        scenario: ScenarioSpec,
-        system: str,
-        policy: Optional[CapacityPolicy],
-        run_key: str,
-        start: float,
-    ) -> ScenarioRunResult:
-        """The per-phase cold path (``phase_dedup=False``): one solve per phase.
-
-        Kept as the reference implementation the deduplicated path is
-        benchmarked and bit-identity-tested against.
-        """
-        runner = self._runner()
-        lowered = self.lower(scenario, system, policy)
-        profiles = self._profiles(scenario)
-
-        unique: List[Tuple[str, SimulationConfig]] = []
-        seen = set()
-        for phase in lowered:
-            for leaf in phase.leaves:
-                key = (leaf.application, leaf.config)
-                if key not in seen:
-                    seen.add(key)
-                    unique.append(key)
-        batch = runner.run_leaves(
-            [(profiles[application], config) for application, config in unique]
-        )
-        stats_by_leaf: Dict[Tuple[str, SimulationConfig], SimulationStats] = dict(
-            zip(unique, batch)
-        )
-
-        # Solve shared-bandwidth contention once per *distinct* co-run
-        # leaf set: repeated phases (e.g. every full/dip round of an
-        # overlap timeline) share one fixed point, exactly as they share
-        # one replay.
-        solutions: Dict[
-            Tuple[Tuple[str, SimulationConfig], ...], PhaseContentionSolution
-        ] = {}
-        with telemetry().span("scenario.arbitrate", system=system) as arbitrate_span:
-            for phase in lowered:
-                keys = tuple(
-                    (leaf.application, leaf.config) for leaf in phase.leaves
-                )
-                if len(keys) > 1 and keys not in solutions:
-                    solutions[keys] = solve_phase_contention(
-                        runner,
-                        self.gpu,
-                        [
-                            (profiles[application], config)
-                            for application, config in keys
-                        ],
-                        [stats_by_leaf[key] for key in keys],
-                        self.contention,
-                    )
-            arbitrate_span.set(corun_sets=len(solutions))
-
-        executions = []
-        tel = telemetry()
-        for phase in lowered:
-            keys = tuple((leaf.application, leaf.config) for leaf in phase.leaves)
-            uncontended = [stats_by_leaf[key] for key in keys]
-            if len(keys) > 1:
-                solution = solutions[keys]
-                leaf_stats: Sequence[SimulationStats] = solution.stats
-                envelopes: Sequence[ResourceEnvelope] = solution.envelopes
-            else:
-                leaf_stats = uncontended
-                envelopes = (DEFAULT_ENVELOPE,) * len(keys)
-            instructions = (
-                phase.phase.duration_weight * scenario.instructions_per_weight
-            )
-            aggregate_ipc = sum(stats.ipc for stats in leaf_stats)
-            compute_cycles = instructions / max(aggregate_ipc, 1e-9)
-            executions.append(
-                PhaseExecution(
-                    index=phase.index,
-                    phase=phase.phase,
-                    decision=phase.decision,
-                    residents=tuple(
-                        ResidentExecution(
-                            grant=leaf.grant,
-                            stats=stats,
-                            instructions=stats.ipc * compute_cycles,
-                            envelope=envelope,
-                            uncontended_ipc=base.ipc,
-                        )
-                        for leaf, stats, envelope, base in zip(
-                            phase.leaves, leaf_stats, envelopes, uncontended
-                        )
-                    ),
-                    instructions=instructions,
-                    compute_cycles=compute_cycles,
-                )
-            )
-            if tel.enabled:
-                tel.event(
-                    "scenario.phase",
-                    index=phase.index,
-                    system=system,
-                    residents=len(keys),
-                    corun=len(keys) > 1,
-                    compute_cycles=compute_cycles,
-                    flush_cycles=phase.decision.transition.flush_cycles,
-                    warmup_cycles=phase.decision.transition.warmup_cycles,
-                )
-        result = ScenarioRunResult(
-            scenario=scenario,
-            system=system,
-            policy_name=self._policy_name(system, policy),
-            phases=tuple(executions),
-            run_key=run_key,
-            elapsed_seconds=time.perf_counter() - start,
-        )
-        runner.store_scenario_payload(run_key, self._result_to_payload(result))
-        return result
-
     # -- scenario-aggregate persistence --------------------------------------------------
-
-    @staticmethod
-    def _result_to_payload(result: ScenarioRunResult) -> Dict[str, Any]:
-        """Serialize one run's aggregate for the cache's scenario tier.
-
-        The scenario spec itself is *not* stored: the aggregate is loaded
-        by a caller holding the same spec (the run key proves it), so the
-        payload only carries what the run computed.  Floats survive JSON
-        via repr, so a reloaded result is bit-identical to the stored one.
-        """
-        return {
-            "policy_name": result.policy_name,
-            "phases": [
-                {
-                    "index": execution.index,
-                    "split": dataclasses.asdict(execution.decision.split),
-                    "transition": dataclasses.asdict(execution.decision.transition),
-                    "grants": [
-                        dataclasses.asdict(grant)
-                        for grant in execution.decision.grants
-                    ],
-                    "residents": [
-                        {
-                            "grant": dataclasses.asdict(resident.grant),
-                            "stats": stats_to_jsonable(resident.stats),
-                            "instructions": resident.instructions,
-                            "envelope": dataclasses.asdict(resident.envelope),
-                            "uncontended_ipc": resident.uncontended_ipc,
-                        }
-                        for resident in execution.residents
-                    ],
-                    "instructions": execution.instructions,
-                    "compute_cycles": execution.compute_cycles,
-                }
-                for execution in result.phases
-            ],
-        }
 
     @staticmethod
     def _signature_payload(
@@ -1006,16 +825,17 @@ class ScenarioEngine:
         transitions: Sequence[TransitionCost],
         transition_ids: Sequence[int],
     ) -> Dict[str, Any]:
-        """Serialize a deduplicated run in the signature-keyed layout.
+        """Serialize one run's aggregate for the cache's scenario tier.
 
         O(signatures) payload for an O(phases) timeline: the distinct
         signature executions and interned transitions are stored once, and
-        each phase contributes one ``[signature_id, transition_id]`` pair.
-        This layout is what :data:`SCENARIO_SCHEMA_VERSION` 4 names; the
-        legacy per-phase layout remains readable.
+        each phase contributes one ``[signature_id, transition_id]`` pair
+        (which also determines every signature's ``count``).  The scenario
+        spec itself is *not* stored: the aggregate is loaded by a caller
+        holding the same spec (the run key proves it).  Floats survive JSON
+        via repr, so a reloaded result is bit-identical to the stored one.
         """
         return {
-            "layout": "signatures",
             "policy_name": policy_name,
             "signatures": [
                 {
@@ -1041,7 +861,6 @@ class ScenarioEngine:
                     ],
                     "instructions": execution.instructions,
                     "compute_cycles": execution.compute_cycles,
-                    "count": execution.count,
                 }
                 for execution in executions
             ],
@@ -1057,14 +876,19 @@ class ScenarioEngine:
         }
 
     @staticmethod
-    def _result_from_signature_payload(
+    def _result_from_payload(
         scenario: ScenarioSpec,
         system: str,
         run_key: str,
         payload: Mapping[str, Any],
         elapsed_seconds: float,
     ) -> ScenarioRunResult:
-        """Rebuild a deduplicated run from :meth:`_signature_payload`."""
+        """Rebuild a run from :meth:`_signature_payload`.
+
+        Every phase id is range- and type-checked, so a corrupt entry
+        raises into :meth:`run`'s recompute path instead of attaching the
+        wrong execution to a phase.
+        """
         entries = payload["phases"]
         if len(entries) != len(scenario.phases):
             raise ValueError(
@@ -1074,8 +898,29 @@ class ScenarioEngine:
         transitions = tuple(
             TransitionCost(**entry) for entry in payload["transitions"]
         )
+        signature_entries = payload["signatures"]
+        counts = [0] * len(signature_entries)
+        signature_ids: List[int] = []
+        transition_ids: List[int] = []
+        for item in entries:
+            signature_id, transition_id = item
+            if not isinstance(signature_id, int) or not isinstance(
+                transition_id, int
+            ):
+                raise ValueError("aggregate phase ids must be integers")
+            if not 0 <= signature_id < len(signature_entries):
+                raise ValueError(
+                    f"aggregate signature id {signature_id} out of range"
+                )
+            if not 0 <= transition_id < len(transitions):
+                raise ValueError(
+                    f"aggregate transition id {transition_id} out of range"
+                )
+            counts[signature_id] += 1
+            signature_ids.append(signature_id)
+            transition_ids.append(transition_id)
         executions = []
-        for entry in payload["signatures"]:
+        for entry, count in zip(signature_entries, counts):
             signature = PhaseSignature(
                 residents=tuple(
                     Residency(**residency)
@@ -1102,27 +947,9 @@ class ScenarioEngine:
                     ),
                     instructions=entry["instructions"],
                     compute_cycles=entry["compute_cycles"],
-                    count=entry["count"],
+                    count=count,
                 )
             )
-        signature_ids: List[int] = []
-        transition_ids: List[int] = []
-        for item in entries:
-            signature_id, transition_id = item
-            if not isinstance(signature_id, int) or not isinstance(
-                transition_id, int
-            ):
-                raise ValueError("aggregate phase ids must be integers")
-            if not 0 <= signature_id < len(executions):
-                raise ValueError(
-                    f"aggregate signature id {signature_id} out of range"
-                )
-            if not 0 <= transition_id < len(transitions):
-                raise ValueError(
-                    f"aggregate transition id {transition_id} out of range"
-                )
-            signature_ids.append(signature_id)
-            transition_ids.append(transition_id)
         executions = tuple(executions)
         return ScenarioRunResult(
             scenario=scenario,
@@ -1138,72 +965,6 @@ class ScenarioEngine:
             run_key=run_key,
             elapsed_seconds=elapsed_seconds,
             signatures=executions,
-        )
-
-    @staticmethod
-    def _result_from_payload(
-        scenario: ScenarioSpec,
-        system: str,
-        run_key: str,
-        payload: Mapping[str, Any],
-        elapsed_seconds: float,
-    ) -> ScenarioRunResult:
-        """Rebuild a :class:`ScenarioRunResult` from a stored aggregate.
-
-        Dispatches on the payload's ``layout``: the signature-keyed layout
-        written by the deduplicating engine, or the legacy per-phase layout
-        (the ``phase_dedup=False`` path still writes it, and pre-bump
-        entries used it exclusively).  Both reconstruct the same phases.
-        """
-        if payload.get("layout", "phases") == "signatures":
-            return ScenarioEngine._result_from_signature_payload(
-                scenario, system, run_key, payload, elapsed_seconds
-            )
-        executions = []
-        if len(payload["phases"]) != len(scenario.phases):
-            raise ValueError(
-                f"aggregate has {len(payload['phases'])} phases for a "
-                f"{len(scenario.phases)}-phase scenario"
-            )
-        for entry in payload["phases"]:
-            index = entry["index"]
-            if not 0 <= index < len(scenario.phases):
-                # Guard the scenario.phases[index] below: a corrupt entry
-                # must fall into the caller's recompute path, not raise
-                # IndexError (or silently attach a negatively-indexed phase).
-                raise ValueError(f"aggregate phase index {index} out of range")
-            decision = PhaseDecision(
-                split=MorpheusOperatingPoint(**entry["split"]),
-                transition=TransitionCost(**entry["transition"]),
-                grants=tuple(ResidentGrant(**grant) for grant in entry["grants"]),
-            )
-            residents = tuple(
-                ResidentExecution(
-                    grant=ResidentGrant(**resident["grant"]),
-                    stats=stats_from_jsonable(resident["stats"]),
-                    instructions=resident["instructions"],
-                    envelope=ResourceEnvelope(**resident["envelope"]),
-                    uncontended_ipc=resident["uncontended_ipc"],
-                )
-                for resident in entry["residents"]
-            )
-            executions.append(
-                PhaseExecution(
-                    index=index,
-                    phase=scenario.phases[index],
-                    decision=decision,
-                    residents=residents,
-                    instructions=entry["instructions"],
-                    compute_cycles=entry["compute_cycles"],
-                )
-            )
-        return ScenarioRunResult(
-            scenario=scenario,
-            system=system,
-            policy_name=payload["policy_name"],
-            phases=tuple(executions),
-            run_key=run_key,
-            elapsed_seconds=elapsed_seconds,
         )
 
     @staticmethod

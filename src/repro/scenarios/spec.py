@@ -51,11 +51,12 @@ from repro.runner.spec import (
 #: :meth:`~repro.scenarios.engine.ScenarioEngine.run_key`.
 #: Version 4: persisted scenario aggregates use the signature-keyed layout
 #: (distinct phase signatures plus per-phase signature/transition ids)
-#: written by the deduplicating engine; the legacy per-phase layout is still
-#: readable, but the layout change invalidates prior scenario-tier entries.
-#: Dedup itself is execution-plan-only — leaf replay/score keys and the
-#: computed per-phase results are unchanged.
-SCENARIO_SCHEMA_VERSION = 4
+#: written by the deduplicating engine.  Dedup itself is execution-plan-only
+#: — leaf replay/score keys and the computed per-phase results are unchanged.
+#: Version 5: the signature layout is the only one the engine reads, and
+#: signatures no longer store their phase ``count`` (it is derived from the
+#: phase ids on load); the bump turns older entries into cache misses.
+SCENARIO_SCHEMA_VERSION = 5
 
 
 @dataclass(frozen=True)

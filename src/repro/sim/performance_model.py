@@ -389,9 +389,8 @@ class PerformanceModel:
         mismatch raises :class:`ValueError`.  Callers that group configs by
         ``replay_key`` (e.g. the runner) may pass ``validate=False``.
 
-        Bit-identical to calling :meth:`score` per config; transparently
-        falls back to the scalar loop when numpy is unavailable or the
-        batch is tiny.
+        Bit-identical to calling :meth:`score` per config; tiny batches
+        take the scalar loop instead.
         """
         if not configs:
             return []

@@ -68,12 +68,6 @@ class SimulationStats:
         """SMs not power-gated."""
         return self.num_compute_sms + self.num_cache_sms
 
-    def speedup_over(self, baseline: "SimulationStats") -> float:
-        """Speedup of this run relative to ``baseline`` (same application)."""
-        if self.execution_cycles <= 0 or baseline.execution_cycles <= 0:
-            return 0.0
-        return baseline.execution_cycles / self.execution_cycles
-
     def normalized_execution_time(self, baseline: "SimulationStats") -> float:
         """Execution time normalized to ``baseline`` (Fig. 12 top, lower is better)."""
         if baseline.execution_cycles <= 0:

@@ -19,9 +19,8 @@ parameters.  :class:`MeasurementScorer` splits those halves:
 * :meth:`score_energy_batch` shares one roofline evaluation across a grid
   of energy-constant variants.
 
-numpy is optional at runtime: without it every batch API transparently
-falls back to the scalar loop (same results, scalar speed).  The
-dependency is declared in ``setup.py``.
+numpy is a declared dependency (``setup.py``); batches smaller than
+:data:`MIN_VECTOR_BATCH` take the scalar loop instead (same results).
 """
 
 from __future__ import annotations
@@ -31,6 +30,8 @@ import operator
 from itertools import repeat as _repeat
 from typing import Dict, List, Optional, Sequence, TYPE_CHECKING
 
+import numpy as np
+
 from repro.energy.model import EnergyBreakdown, EnergyModel
 from repro.sim.stats import SimulationStats
 
@@ -38,11 +39,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.performance_model import ReplayMeasurement, ResourceEnvelope
     from repro.sim.simulator import SimulationConfig
     from repro.workloads.applications import ApplicationProfile
-
-try:  # pragma: no cover - exercised via the fallback test's monkeypatch
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
 
 #: Below this batch size the fixed numpy dispatch overhead outweighs the
 #: per-point win; the scalar fast path is used instead (identical results).
@@ -52,21 +48,6 @@ _INF = float("inf")
 
 #: String score-tier input gathered per config for the batch path.
 _SYSTEM_NAME = operator.attrgetter("system_name")
-
-
-def have_numpy() -> bool:
-    """Whether the vectorized path is available (numpy importable)."""
-    return _np is not None
-
-
-def require_numpy() -> None:
-    """Raise a clear error when numpy is missing but explicitly required."""
-    if _np is None:
-        raise RuntimeError(
-            "numpy is required for vectorized batch scoring but is not "
-            "installed; install it (declared in setup.py: `pip install "
-            "numpy`) or use the scalar PerformanceModel.score path"
-        )
 
 
 class MeasurementScorer:
@@ -401,14 +382,13 @@ class MeasurementScorer:
         """Score every config variant in one vectorized pass.
 
         Configs must share this scorer's replay parameters (the caller
-        guards that; see ``PerformanceModel.score_batch``).  Falls back to
-        the scalar loop for tiny batches or when numpy is unavailable —
-        results are identical either way.
+        guards that; see ``PerformanceModel.score_batch``).  Tiny batches
+        take the scalar loop instead — results are identical either way.
         """
         count = len(configs)
         if count == 0:
             return []
-        if _np is None or count < MIN_VECTOR_BATCH:
+        if count < MIN_VECTOR_BATCH:
             return [self.score_config(config) for config in configs]
 
         # The batch allocates a bounded burst of result containers (a few
@@ -428,7 +408,6 @@ class MeasurementScorer:
     def _score_batch_vectorized(
         self, configs: Sequence["SimulationConfig"], count: int
     ) -> List[SimulationStats]:
-        np = _np
         peak = np.array([c.peak_warp_ipc_per_sm for c in configs], dtype=np.float64)
         mlp = np.array([c.mlp_per_sm for c in configs], dtype=np.float64)
         power_gate = np.array([c.power_gate_unused for c in configs], dtype=bool)

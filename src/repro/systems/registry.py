@@ -205,16 +205,3 @@ def run_scenario(
         contention=contention,
     )
     return engine.run(scenario, system_name, policy)
-
-
-def clear_caches() -> None:
-    """Drop the runner's in-process result layer (used by tests).
-
-    The on-disk cache is content-addressed and never stale, so only the
-    in-memory layer is cleared.
-    """
-    from repro.runner.runner import active_runner
-    from repro.workloads.generator import SHARED_TRACE_CACHE
-
-    active_runner().clear_memory_cache()
-    SHARED_TRACE_CACHE.clear()

@@ -23,7 +23,7 @@ import hashlib
 import random
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from typing import List, Tuple
 
 from repro.workloads.applications import ApplicationProfile
 from repro.workloads.trace import MemoryTrace, TraceEntry
@@ -137,10 +137,6 @@ class TraceGenerator:
                 )
             )
         return MemoryTrace(entries, name=f"{profile.name}-{self.num_compute_sms}sm")
-
-    def iter_entries(self, num_accesses: int) -> Iterator[TraceEntry]:
-        """Generate entries lazily (for very long traces)."""
-        yield from self.generate(num_accesses)
 
 
 #: Key of one (warm-up, measurement) trace pair in the :class:`TraceCache`.

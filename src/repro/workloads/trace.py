@@ -102,7 +102,3 @@ class MemoryTrace:
         for entry in self._entries:
             groups.setdefault(entry.sm_id, []).append(entry)
         return groups
-
-    def to_requests(self, block_size: int = 128) -> List[MemoryRequest]:
-        """Materialize the whole trace as memory requests."""
-        return [entry.to_request(issue_cycle=i, block_size=block_size) for i, entry in enumerate(self._entries)]

@@ -32,6 +32,7 @@ from repro.scenarios import (
     ScenarioSpec,
     corun_overlap,
     proportional_pressure_shares,
+    solve_scenario_contention,
 )
 from repro.sim.performance_model import (
     DEFAULT_ENVELOPE,
@@ -40,7 +41,7 @@ from repro.sim.performance_model import (
     shared_bandwidth_demand,
 )
 from repro.workloads.applications import get_application
-from scenario_test_utils import TINY_FIDELITY
+from scenario_test_utils import TINY_FIDELITY, per_call_fixed_point
 
 #: One saturating symmetric co-run phase: both residents are DRAM-bound and
 #: each alone demands the GPU's full DRAM bandwidth, so the fixed point
@@ -230,9 +231,7 @@ class TestFixedPoint:
         shares = [r.envelope.dram_bandwidth_share for r in residents]
         assert sum(shares) == pytest.approx(1.0, rel=1e-6)
 
-    def test_fast_scoring_matches_the_legacy_per_call_path(self, tmp_path):
-        from repro.scenarios.contention import solve_phase_contention
-
+    def test_solver_matches_the_per_call_reference_fixed_point(self, tmp_path):
         runner = ExperimentRunner(cache_dir=tmp_path / "cache", max_workers=0)
         gpu = _leaf_config(tmp_path).gpu
         leaves = [
@@ -245,19 +244,19 @@ class TestFixedPoint:
             for app, sms in (("spmv", 28), ("cfd", 24))
         ]
         uncontended = runner.run_leaves(leaves)
-        fast = solve_phase_contention(
-            runner, gpu, leaves, uncontended, ContentionModel(), fast_scoring=True
+        (solution,) = solve_scenario_contention(
+            runner, gpu, [(leaves, uncontended)], ContentionModel()
         )
-        legacy = solve_phase_contention(
-            runner, gpu, leaves, uncontended, ContentionModel(), fast_scoring=False
+        reference_stats, reference_envelopes = per_call_fixed_point(
+            runner, gpu, leaves, uncontended, ContentionModel()
         )
-        # The precomputed-scorer fast path is an optimization, not a model
-        # change: solutions must be bit-identical to per-call scoring.
-        assert fast.iterations == legacy.iterations
-        assert fast.converged == legacy.converged
-        assert fast.envelopes == legacy.envelopes
-        for fast_stats, legacy_stats in zip(fast.stats, legacy.stats):
-            assert dataclasses.asdict(fast_stats) == dataclasses.asdict(legacy_stats)
+        # The precomputed scorers are an optimization, not a model change:
+        # the solution must be bit-identical to per-call scoring.
+        assert solution.converged
+        assert 1 < solution.iterations < ContentionModel().max_iterations
+        assert list(solution.envelopes) == reference_envelopes
+        for solved, reference in zip(solution.stats, reference_stats):
+            assert dataclasses.asdict(solved) == dataclasses.asdict(reference)
 
     def test_solver_is_deterministic_across_worker_counts(self, tmp_path):
         serial = _engine(tmp_path / "serial", workers=0)
@@ -410,8 +409,10 @@ class TestScenarioAggregateStore:
         "corruption",
         [
             {"policy_name": "x"},  # missing phases entirely
-            "out_of_range_index",  # phases[0].index beyond the scenario
-            "negative_index",  # would silently attach the wrong phase
+            "out_of_range_index",  # signature id beyond the stored signatures
+            "negative_index",  # would silently attach the last signature
+            "out_of_range_transition",  # transition id beyond the interned costs
+            "non_integer_id",  # ids must be ints, not floats or strings
             "extra_phase",  # phase count disagrees with the scenario
         ],
     )
@@ -420,14 +421,16 @@ class TestScenarioAggregateStore:
         with using_runner(engine.runner):
             result = engine.run(SATURATING, "Morpheus-Basic")
         # Corrupt the stored aggregate, then re-run through a fresh runner.
+        payload = engine.runner.disk_cache.load_scenario(result.run_key)
         if corruption == "out_of_range_index":
-            payload = ScenarioEngine._result_to_payload(result)
-            payload["phases"][0]["index"] = 99
+            payload["phases"][0][0] = len(payload["signatures"])
         elif corruption == "negative_index":
-            payload = ScenarioEngine._result_to_payload(result)
-            payload["phases"][0]["index"] = -1
+            payload["phases"][0][0] = -1
+        elif corruption == "out_of_range_transition":
+            payload["phases"][0][1] = len(payload["transitions"])
+        elif corruption == "non_integer_id":
+            payload["phases"][0][0] = 0.0
         elif corruption == "extra_phase":
-            payload = ScenarioEngine._result_to_payload(result)
             payload["phases"].append(payload["phases"][0])
         else:
             payload = corruption
@@ -435,6 +438,8 @@ class TestScenarioAggregateStore:
         fresh = _engine(tmp_path)
         with using_runner(fresh.runner):
             recomputed = fresh.run(SATURATING, "Morpheus-Basic")
+        # Recomputed and overwritten, never served from the corrupt entry.
+        assert fresh.runner.disk_cache.scenario_stores == 1
         assert _snapshot(recomputed) == _snapshot(result)
 
     def test_cache_cli_reports_the_scenario_tier(self, tmp_path, capsys):

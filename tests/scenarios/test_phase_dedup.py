@@ -1,24 +1,32 @@
-"""Phase-signature dedup: bit-identity with the per-phase path, at fleet scale.
+"""Phase-signature dedup: bit-identity with the per-phase oracle, at fleet scale.
 
-The dedup execution plan (``phase_dedup=True``, the default) must be an
-invisible optimisation: identical per-phase results, identical cache keys,
-and payloads readable by either mode.  The fleet-scale test then pins the
-whole point — thousands of phases collapse to tens of signatures, every
-phase is accounted for by the dedup counters, and a warm re-run touches
+The engine solves each distinct phase signature once; that must be an
+invisible optimisation, so every library shape's per-phase results equal
+:func:`~scenario_test_utils.per_phase_reference`, which solves every phase
+on its own.  The fleet-scale test then pins the whole point — thousands of
+phases collapse to tens of signatures, every phase is accounted for by the
+dedup counters and the reloaded signature counts, and a warm re-run touches
 exactly one scenario-tier payload.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from collections import Counter
 
 import pytest
 
 from repro.runner import ExperimentRunner
-from repro.scenarios import SCENARIO_LIBRARY, ScenarioEngine, fleet, get_scenario
+from repro.scenarios import (
+    SCENARIO_LIBRARY,
+    PhaseSignature,
+    ScenarioEngine,
+    fleet,
+    get_scenario,
+)
 from repro.telemetry import Telemetry
 from repro.telemetry.report import summarize
-from scenario_test_utils import TINY_FIDELITY
+from scenario_test_utils import TINY_FIDELITY, per_phase_reference
 
 SYSTEM = "Morpheus-Basic"
 
@@ -32,13 +40,13 @@ def build(name):
     return get_scenario(name, **SHAPE_KWARGS.get(name, {}))
 
 
-def engine_for(tmp_path, subdir, dedup):
+def engine_for(tmp_path, subdir):
     runner = ExperimentRunner(cache_dir=tmp_path / subdir, max_workers=0)
-    return ScenarioEngine(runner=runner, fidelity=TINY_FIDELITY, phase_dedup=dedup)
+    return ScenarioEngine(runner=runner, fidelity=TINY_FIDELITY)
 
 
-def snapshot(result) -> list:
-    """A comparable rendering of one timeline run (stats + cycle accounting)."""
+def snapshot(phases) -> list:
+    """A comparable rendering of per-phase executions (stats + cycle accounting)."""
     return [
         (
             execution.index,
@@ -48,7 +56,7 @@ def snapshot(result) -> list:
             execution.instructions,
             execution.compute_cycles,
         )
-        for execution in result.phases
+        for execution in phases
     ]
 
 
@@ -56,39 +64,25 @@ class TestDedupBitIdentity:
     @pytest.mark.parametrize("name", SHAPES)
     def test_matches_per_phase_path_on_every_library_shape(self, tmp_path, name):
         scenario = build(name)
-        dedup_engine = engine_for(tmp_path, "dedup", True)
-        naive_engine = engine_for(tmp_path, "naive", False)
-
-        # Same cache key: dedup is an execution plan, not a result change.
-        assert dedup_engine.run_key(scenario, SYSTEM) == naive_engine.run_key(
-            scenario, SYSTEM
+        run = engine_for(tmp_path, "engine").run(scenario, SYSTEM)
+        reference = per_phase_reference(
+            engine_for(tmp_path, "reference"), scenario, SYSTEM
         )
-
-        dedup_run = dedup_engine.run(scenario, SYSTEM)
-        naive_run = naive_engine.run(scenario, SYSTEM)
-        assert snapshot(dedup_run) == snapshot(naive_run)
-        assert dedup_run.signatures is not None
-        assert naive_run.signatures is None
-        assert dedup_run.dedup_hits == len(scenario.phases) - len(dedup_run.signatures)
-
-    def test_modes_share_persisted_payloads_both_ways(self, tmp_path):
-        scenario = build("corun_overlap")
-
-        # Dedup writes the signature layout; the per-phase mode loads it.
-        cold = engine_for(tmp_path, "shared-a", True).run(scenario, SYSTEM)
-        naive_engine = engine_for(tmp_path, "shared-a", False)
-        warm = naive_engine.run(scenario, SYSTEM)
-        assert naive_engine.runner.replays == 0
-        assert warm.signatures is not None  # layout survives the round trip
-        assert snapshot(warm) == snapshot(cold)
-
-        # The per-phase mode writes the legacy layout; dedup loads it.
-        cold = engine_for(tmp_path, "shared-b", False).run(scenario, SYSTEM)
-        dedup_engine = engine_for(tmp_path, "shared-b", True)
-        warm = dedup_engine.run(scenario, SYSTEM)
-        assert dedup_engine.runner.replays == 0
-        assert warm.signatures is None
-        assert snapshot(warm) == snapshot(cold)
+        assert snapshot(run.phases) == snapshot(reference)
+        assert run.dedup_hits == len(scenario.phases) - len(run.signatures)
+        # Each signature's count is the number of phases bearing it.
+        bearing = Counter(
+            PhaseSignature(
+                residents=phase.phase.residents,
+                duration_weight=phase.phase.duration_weight,
+                split=phase.decision.split,
+                grants=phase.decision.grants,
+            )
+            for phase in reference
+        )
+        assert {
+            execution.signature: execution.count for execution in run.signatures
+        } == bearing
 
 
 class TestFleetScale:
@@ -96,9 +90,9 @@ class TestFleetScale:
         scenario = fleet(num_phases=5000, seed=7)
         trace_dir = tmp_path / "trace"
         with Telemetry(directory=trace_dir, enabled=True):
-            cold_engine = engine_for(tmp_path, "cache", True)
+            cold_engine = engine_for(tmp_path, "cache")
             cold = cold_engine.run(scenario, SYSTEM)
-            warm_engine = engine_for(tmp_path, "cache", True)
+            warm_engine = engine_for(tmp_path, "cache")
             warm = warm_engine.run(scenario, SYSTEM)
 
         # Thousands of phases, tens of signatures.
@@ -112,8 +106,12 @@ class TestFleetScale:
         assert warm_engine.runner.replays == 0
         assert warm_cache.replay_misses == 0
         assert warm_cache.tier_counters()["scenario_hits"] == 1
-        assert warm.signatures is not None
-        assert snapshot(warm) == snapshot(cold)
+        assert snapshot(warm.phases) == snapshot(cold.phases)
+        # Signature counts are derived from the reloaded phase ids, not
+        # stored, and still account for every phase.
+        counts = [execution.count for execution in warm.signatures]
+        assert counts == [execution.count for execution in cold.signatures]
+        assert sum(counts) == len(warm.phases)
 
         # Only the cold pass lowers phases, and its counters account for
         # every one of them.

@@ -21,10 +21,9 @@ from repro.core.config import MorpheusConfig
 from repro.energy.components import ComponentEnergies
 from repro.energy.model import EnergyModel
 from repro.gpu.config import RTX3080_CONFIG
-from repro.sim import vector_model
 from repro.sim.performance_model import PerformanceModel, ResourceEnvelope
 from repro.sim.simulator import GPUSimulator, SCORE_FIELDS, SimulationConfig
-from repro.sim.vector_model import MIN_VECTOR_BATCH, MeasurementScorer, have_numpy
+from repro.sim.vector_model import MIN_VECTOR_BATCH, MeasurementScorer
 from repro.workloads.applications import get_application
 
 #: Replay-side baseline the variants are scored against (Morpheus carries
@@ -102,7 +101,6 @@ class TestBatchParity:
     def test_randomized_grid_matches_scalar_bit_for_bit(
         self, kmeans, morpheus_measurement
     ):
-        assert have_numpy(), "container ships numpy; the vector path must be live"
         model = PerformanceModel()
         variants = _random_variants(MORPHEUS_CONFIG, 96)
         expected = [
@@ -179,27 +177,6 @@ class TestBatchParity:
             model.score_batch(
                 kmeans, [MORPHEUS_CONFIG, mismatched], morpheus_measurement
             )
-
-
-class TestNumpyFallback:
-    def test_batch_without_numpy_matches_vectorized(
-        self, kmeans, morpheus_measurement, monkeypatch
-    ):
-        model = PerformanceModel()
-        variants = _random_variants(MORPHEUS_CONFIG, 24, seed=7)
-        vectorized = model.score_batch(kmeans, variants, morpheus_measurement)
-        monkeypatch.setattr(vector_model, "_np", None)
-        assert not have_numpy()
-        fallback = model.score_batch(kmeans, variants, morpheus_measurement)
-        _assert_identical(fallback, vectorized)
-
-    def test_require_numpy_error_mentions_install(self, monkeypatch):
-        monkeypatch.setattr(vector_model, "_np", None)
-        with pytest.raises(RuntimeError, match="numpy"):
-            vector_model.require_numpy()
-
-    def test_require_numpy_passes_when_present(self):
-        vector_model.require_numpy()
 
 
 class TestScorerFastPaths:
