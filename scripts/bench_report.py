@@ -26,11 +26,21 @@ hits and signature count, the peak traced memory of a warm run plus process
 peak RSS, with cold/warm per-phase bit-identity and a replay-free warm
 reload asserted.  Results land in ``BENCH_scenarios.json``.
 
+``--benchmark replay`` times trace replay itself: every leaf that the nine
+Fig-12 systems replay for ``spmv`` at the figure fidelity, re-replayed
+``--repeats`` times from warm traces.  Each run becomes one entry of
+``BENCH_replay.json``, keyed by ``--label``, with per-system median leaf
+times and a digest of every leaf's ``HierarchyCounters``; an entry is
+``bit_identical`` when its repeats agree and its digest equals the file's
+first entry.  Running the same script against two checkouts (``PYTHONPATH``
+pointing at each ``src/``) records a before/after pair.
+
 Usage::
 
     PYTHONPATH=src python scripts/bench_report.py
-        [--benchmark scoring|runner|search|scenarios] [--smoke] [--points N]
-        [--workers N] [--repeats N] [--steps N] [--phases N] [--output FILE]
+        [--benchmark scoring|runner|search|scenarios|replay] [--smoke]
+        [--points N] [--workers N] [--repeats N] [--steps N] [--phases N]
+        [--label NAME] [--output FILE]
 
 ``--smoke`` shrinks the trace and repeat counts so the whole script runs in
 a few seconds (the CI configuration); the scoring grid keeps >= 64 points
@@ -42,6 +52,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import hashlib
 import json
 import os
 import statistics
@@ -50,10 +61,11 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro.runner import ExperimentRunner
+from repro.runner import ExperimentRunner, set_active_runner
 from repro.sim.performance_model import PerformanceModel, ResourceEnvelope
-from repro.sim.simulator import SimulationConfig
+from repro.sim.simulator import GPUSimulator, SimulationConfig
 from repro.systems.fidelity import FAST_FIDELITY, Fidelity
+from repro.systems.registry import EVALUATED_SYSTEMS, evaluate_application
 from repro.workloads.applications import get_application
 
 #: Tiny replay sizing for ``--smoke`` (scoring cost is trace-length
@@ -64,6 +76,17 @@ SMOKE_FIDELITY = Fidelity(
     warmup_accesses=200,
     search_trace_accesses=400,
     search_warmup_accesses=100,
+)
+
+
+#: The Fig-12 figure fidelity (``BENCH_FIDELITY`` of the pytest figure
+#: benchmarks), the sizing of the replay benchmark.
+FIG12_FIDELITY = Fidelity(
+    capacity_scale=1.0 / 32.0,
+    trace_accesses=8_000,
+    warmup_accesses=3_000,
+    search_trace_accesses=4_000,
+    search_warmup_accesses=1_500,
 )
 
 
@@ -384,11 +407,125 @@ def benchmark_scenarios(fidelity: Fidelity, phases: int, warm_repeats: int):
     }
 
 
+@contextlib.contextmanager
+def _recording_replays(configs):
+    """Append the config of every trace replay in the block to ``configs``."""
+    original = GPUSimulator.replay
+
+    def replay(simulator, profile):
+        configs.append(simulator.config)
+        return original(simulator, profile)
+
+    GPUSimulator.replay = replay
+    try:
+        yield
+    finally:
+        GPUSimulator.replay = original
+
+
+def _system_leaves(system: str, profile, fidelity: Fidelity):
+    """The replay leaves ``system`` runs for ``profile``, from an empty cache."""
+    configs = []
+    with tempfile.TemporaryDirectory(prefix="repro-bench-replay-") as cache_dir:
+        runner = ExperimentRunner(cache_dir=cache_dir, max_workers=0, backend="local")
+        previous = set_active_runner(runner)
+        try:
+            with _recording_replays(configs):
+                evaluate_application(system, profile, fidelity=fidelity, seed=1)
+        finally:
+            set_active_runner(previous)
+            runner.close()
+    return configs
+
+
+def benchmark_replay(fidelity: Fidelity, repeats: int, rounds: int):
+    """Per-leaf replay time of ``spmv`` on each Fig-12 system.
+
+    Every system's leaves are discovered once from an empty cache (which
+    also fills the shared trace cache), then each leaf is replayed
+    ``repeats`` times, spread over ``rounds`` sleep-separated bursts.  The
+    timed span is :meth:`GPUSimulator.replay`: engine construction, warm-up
+    and measured replay.
+    """
+    profile = get_application("spmv")
+    rounds = max(1, rounds)
+    per_round = max(1, repeats // rounds)
+    systems = {}
+    digests = []
+    deterministic = True
+    for system in EVALUATED_SYSTEMS:
+        leaves = _system_leaves(system, profile, fidelity)
+        samples = [[] for _ in leaves]
+        counters = [None] * len(leaves)
+        for round_index in range(rounds):
+            if round_index:
+                time.sleep(0.4)
+            for index, config in enumerate(leaves):
+                for _ in range(per_round):
+                    started = time.perf_counter()
+                    measurement = GPUSimulator(config).replay(profile)
+                    samples[index].append(time.perf_counter() - started)
+                    rendered = json.dumps(measurement.counters.to_jsonable(), sort_keys=True)
+                    if counters[index] is None:
+                        counters[index] = rendered
+                    deterministic = deterministic and rendered == counters[index]
+        digest = hashlib.sha256("\n".join(counters).encode("utf-8")).hexdigest()
+        digests.append(digest)
+        systems[system] = {
+            "leaves": len(leaves),
+            "median_leaf_seconds": statistics.median(
+                sample for leaf in samples for sample in leaf
+            ),
+            "system_seconds": sum(statistics.median(leaf) for leaf in samples),
+            "counters_digest": digest,
+        }
+    return {
+        "application": profile.name,
+        "fidelity": dataclasses.asdict(fidelity),
+        "cpu_count": os.cpu_count() or 1,
+        "repeats": rounds * per_round,
+        "rounds": rounds,
+        "leaves": sum(entry["leaves"] for entry in systems.values()),
+        "matrix_seconds": sum(entry["system_seconds"] for entry in systems.values()),
+        "systems": systems,
+        "counters_digest": hashlib.sha256("".join(digests).encode("utf-8")).hexdigest(),
+        "deterministic": deterministic,
+    }
+
+
+def merge_replay_entry(previous, label: str, entry, smoke: bool):
+    """Add ``entry`` under ``label`` to a ``BENCH_replay.json`` payload.
+
+    An entry with the same label is replaced.  Every entry is compared with
+    the first one: ``bit_identical`` requires equal counter digests (and
+    deterministic repeats), and ``speedup_vs_first`` divides the first
+    entry's times by this entry's.
+    """
+    entries = [old for old in (previous or {}).get("entries", []) if old["label"] != label]
+    entries.append(dict(entry, label=label))
+    reference = entries[0]
+    for current in entries:
+        current["bit_identical"] = bool(
+            current["deterministic"]
+            and current["counters_digest"] == reference["counters_digest"]
+        )
+        current["speedup_vs_first"] = {
+            "matrix": reference["matrix_seconds"] / current["matrix_seconds"],
+            **{
+                system: reference["systems"][system]["median_leaf_seconds"]
+                / values["median_leaf_seconds"]
+                for system, values in current["systems"].items()
+                if system in reference["systems"]
+            },
+        }
+    return {"benchmark": "replay", "smoke": smoke, "entries": entries}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--benchmark",
-        choices=("scoring", "runner", "search", "scenarios"),
+        choices=("scoring", "runner", "search", "scenarios", "replay"),
         default="scoring",
         help="which benchmark to run (default: scoring)",
     )
@@ -445,6 +582,11 @@ def main(argv=None) -> int:
         help="sleep-separated sampling bursts the repeats are spread over",
     )
     parser.add_argument(
+        "--label",
+        default="current",
+        help="replay: name of this run's entry in the report (default: current)",
+    )
+    parser.add_argument(
         "--trace",
         nargs="?",
         const="BENCH_trace",
@@ -478,7 +620,18 @@ def main(argv=None) -> int:
         trace_context = contextlib.nullcontext()
 
     with trace_context:
-        if args.benchmark == "search":
+        if args.benchmark == "replay":
+            repeats = args.repeats if args.repeats is not None else (1 if args.smoke else 3)
+            rounds = args.rounds if args.rounds is not None else (1 if args.smoke else 3)
+            entry = benchmark_replay(
+                SMOKE_FIDELITY if args.smoke else FIG12_FIDELITY, repeats, rounds
+            )
+            previous = None
+            if output != "-" and os.path.exists(output):
+                with open(output, encoding="utf-8") as handle:
+                    previous = json.load(handle)
+            report = merge_replay_entry(previous, args.label, entry, args.smoke)
+        elif args.benchmark == "search":
             steps = args.steps if args.steps is not None else (40 if args.smoke else 200)
             report = {
                 "benchmark": "search",
@@ -544,7 +697,19 @@ def main(argv=None) -> int:
         with open(output, "w", encoding="utf-8") as handle:
             handle.write(rendered + "\n")
 
-    if args.benchmark == "search":
+    if args.benchmark == "replay":
+        current = next(e for e in report["entries"] if e["label"] == args.label)
+        print(
+            f"\nreplay: {current['leaves']} spmv leaves in "
+            f"{current['matrix_seconds']:.2f}s, "
+            f"{current['speedup_vs_first']['matrix']:.2f}x vs "
+            f"'{report['entries'][0]['label']}', "
+            f"bit_identical={current['bit_identical']}",
+            file=sys.stderr,
+        )
+        if not current["bit_identical"]:
+            return 1
+    elif args.benchmark == "search":
         warm = report["warm_search"]
         print(
             f"\nwarm search: {warm['steps_per_second']:.0f} steps/s over "

@@ -123,6 +123,29 @@ class AddressSeparator:
         return self.route(address).target == "extended"
 
 
+#: Slots in the interleaving period of :func:`proportional_split`.
+PROPORTIONAL_SPLIT_PERIOD = 64
+
+
+def proportional_slots(capacities: Sequence[Tuple[str, int]]) -> List[str]:
+    """The region owning each slot of the :func:`proportional_split` period.
+
+    Each region with non-zero capacity gets a run of at least one slot,
+    sized in proportion to its capacity; rounding leftovers go to the last
+    region.  Callers with fixed capacities index this list instead of
+    splitting every address.
+    """
+    live = [(name, cap) for name, cap in capacities if cap > 0]
+    if not live:
+        raise ValueError("at least one region must have non-zero capacity")
+    total = sum(cap for _, cap in live)
+    slots: List[str] = []
+    for name, cap in live:
+        slots.extend([name] * max(1, round(cap / total * PROPORTIONAL_SPLIT_PERIOD)))
+    slots.extend([live[-1][0]] * (PROPORTIONAL_SPLIT_PERIOD - len(slots)))
+    return slots[:PROPORTIONAL_SPLIT_PERIOD]
+
+
 def proportional_split(
     capacities: Sequence[Tuple[str, int]], address: int, block_size: int = 128
 ) -> str:
@@ -141,18 +164,4 @@ def proportional_split(
     Returns:
         The name of the region responsible for the block.
     """
-    live = [(name, cap) for name, cap in capacities if cap > 0]
-    if not live:
-        raise ValueError("at least one region must have non-zero capacity")
-    total = sum(cap for _, cap in live)
-    block_index = address // block_size
-    # Use 64 slots of the period for reasonable resolution.
-    period = 64
-    position = block_index % period
-    cursor = 0
-    for name, cap in live:
-        share = max(1, round(cap / total * period))
-        cursor += share
-        if position < cursor:
-            return name
-    return live[-1][0]
+    return proportional_slots(capacities)[address // block_size % PROPORTIONAL_SPLIT_PERIOD]

@@ -9,7 +9,7 @@ alternately (§4.1.2).
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, List
+from typing import Iterable
 
 
 class BloomFilter:
@@ -31,28 +31,37 @@ class BloomFilter:
         self._bits = 0
         self._insertions = 0
 
-    def _hash_positions(self, key: int) -> List[int]:
-        """Bit positions for ``key`` using double hashing over a blake2 digest."""
+    def mask(self, key: int) -> int:
+        """The bits ``key`` sets, as one integer (double hashing over a blake2 digest).
+
+        Filters of the same size and hash count share masks, so a key hashed
+        once can be inserted into several of them (:meth:`insert_mask`).
+        """
+        if key < 0:
+            raise ValueError("keys must be non-negative")
         digest = hashlib.blake2b(
             int(key).to_bytes(16, "little", signed=False), digest_size=16
         ).digest()
         h1 = int.from_bytes(digest[:8], "little")
         h2 = int.from_bytes(digest[8:], "little") | 1
-        return [(h1 + i * h2) % self.num_bits for i in range(self.num_hashes)]
+        bits = 0
+        for i in range(self.num_hashes):
+            bits |= 1 << ((h1 + i * h2) % self.num_bits)
+        return bits
+
+    def insert_mask(self, mask: int) -> None:
+        """Insert the key whose :meth:`mask` is ``mask``."""
+        self._bits |= mask
+        self._insertions += 1
 
     def insert(self, key: int) -> None:
         """Insert ``key`` into the filter."""
-        if key < 0:
-            raise ValueError("keys must be non-negative")
-        for pos in self._hash_positions(key):
-            self._bits |= 1 << pos
-        self._insertions += 1
+        self.insert_mask(self.mask(key))
 
     def query(self, key: int) -> bool:
         """Return True if ``key`` *may* be in the set (never a false negative)."""
-        if key < 0:
-            raise ValueError("keys must be non-negative")
-        return all(self._bits >> pos & 1 for pos in self._hash_positions(key))
+        mask = self.mask(key)
+        return self._bits & mask == mask
 
     def insert_all(self, keys: Iterable[int]) -> None:
         """Insert every key in ``keys``."""
@@ -73,10 +82,6 @@ class BloomFilter:
     def fill_ratio(self) -> float:
         """Fraction of bits currently set (a proxy for the false-positive rate)."""
         return bin(self._bits).count("1") / self.num_bits
-
-    def estimated_false_positive_rate(self) -> float:
-        """Estimated false-positive probability at the current fill level."""
-        return self.fill_ratio ** self.num_hashes
 
     def __contains__(self, key: int) -> bool:
         return self.query(key)

@@ -122,6 +122,9 @@ class MorpheusController:
         self.config = config or MorpheusConfig()
         self.core_clock_ghz = core_clock_ghz
         self.predictor_mode = PredictorMode(self.config.predictor)
+        self._extended_sets = self._count_extended_sets()
+        # This partition's first set in the global extended LLC (see _global_set).
+        self._global_set_base = self.partition.partition_id * self._extended_sets
 
         extended_capacity = (
             int(self.extended_llc.effective_capacity_bytes()) if self.extended_llc else 0
@@ -132,25 +135,28 @@ class MorpheusController:
             conventional_capacity_bytes=self.partition.cache.capacity_bytes,
             extended_capacity_bytes=per_partition_extended,
             block_size=self.config.block_size,
-            num_extended_sets=max(1, self.extended_sets_per_partition()),
+            num_extended_sets=max(1, self._extended_sets),
         )
         self.predictor = HitMissPredictor(
-            num_sets=max(1, self.extended_sets_per_partition()),
+            num_sets=max(1, self._extended_sets),
             associativity=self.config.extended_llc_associativity,
             filter_bytes=self.config.bloom_filter_bytes,
         )
         self.query_logic = ExtendedLLCQueryLogic(
-            num_sets=max(1, self.extended_sets_per_partition()),
+            num_sets=max(1, self._extended_sets),
             block_size=self.config.block_size,
         )
-        self._dram_access = dram_access
-        self._noc_round_trip = noc_round_trip
+        self._dram_access = dram_access or self._default_dram_latency
+        self._noc_round_trip = noc_round_trip or self._default_noc_round_trip
         self.stats = ControllerStats()
 
     # -- helpers --------------------------------------------------------------
 
     def extended_sets_per_partition(self) -> int:
         """Extended LLC sets this partition's controller is responsible for."""
+        return self._extended_sets
+
+    def _count_extended_sets(self) -> int:
         if not self.extended_llc:
             return 1
         total = self.extended_llc.total_sets
@@ -169,13 +175,11 @@ class MorpheusController:
         return self._ns_to_cycles(2.0 * self.config.timing.noc_one_way_ns)
 
     def _dram(self, request: MemoryRequest, at_cycle: float) -> float:
-        fn = self._dram_access or self._default_dram_latency
         self.stats.dram_accesses += 1
-        return fn(request, at_cycle)
+        return self._dram_access(request, at_cycle)
 
     def _noc(self, size_bytes: int, at_cycle: float) -> float:
-        fn = self._noc_round_trip or self._default_noc_round_trip
-        return fn(size_bytes, at_cycle)
+        return self._noc_round_trip(size_bytes, at_cycle)
 
     # -- the LLC lookup procedure (Figure 3 / Figure 6a) ------------------------------
 
@@ -221,7 +225,7 @@ class MorpheusController:
         Each partition's controller owns a disjoint slice of the extended LLC
         sets so that the full extended capacity is used across partitions.
         """
-        return self.partition.partition_id * self.extended_sets_per_partition() + set_index
+        return self._global_set_base + set_index
 
     def _access_extended(
         self, request: MemoryRequest, now_cycle: float, set_index: int

@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-from repro.core.address_separation import proportional_split
+from repro.core.address_separation import PROPORTIONAL_SPLIT_PERIOD, proportional_slots
 from repro.core.compression import CompressionLevel, effective_capacity_factor
 from repro.core.config import MorpheusConfig
 from repro.core.indirect_mov import IndirectMovImplementation, IndirectMovModel
@@ -129,6 +129,22 @@ class ExtendedLLCKernel:
         if not self.stores:
             raise ValueError("the extended LLC kernel needs at least one store")
 
+        # Store capacities never change after construction, so the
+        # proportional split's 64-slot period is resolved once here.
+        capacities = [(name, store.data_capacity_bytes()) for name, store in self.stores.items()]
+        self._block_size = config.block_size
+        self._store_slots: List[Tuple[str, ExtendedLLCStore]] = [
+            (name, self.stores[name]) for name in proportional_slots(capacities)
+        ]
+        # Service latency of one access by (store kind, compressed).
+        self._latency_ns: Dict[Tuple[str, bool], float] = {
+            (name, compressed): config.timing.access_latency_ns(
+                name, indirect_mov_hardware=config.enable_indirect_mov_isa, compressed=compressed
+            )
+            for name in self.stores
+            for compressed in (False, True)
+        }
+
     # -- capacity ------------------------------------------------------------------
 
     @property
@@ -153,18 +169,10 @@ class ExtendedLLCKernel:
 
     def _store_for(self, address: int) -> Tuple[str, ExtendedLLCStore]:
         """Pick the store responsible for ``address`` (proportional split, §4.2 task 3)."""
-        capacities = [(name, store.data_capacity_bytes()) for name, store in self.stores.items()]
-        name = proportional_split(capacities, address, self.config.block_size)
-        return name, self.stores[name]
+        return self._store_slots[address // self._block_size % PROPORTIONAL_SPLIT_PERIOD]
 
     def _local_set(self, store: ExtendedLLCStore, set_index: int) -> int:
         return set_index % store.num_warps
-
-    def _access_latency_ns(self, store_kind: str, compressed: bool) -> float:
-        impl_hw = self.config.enable_indirect_mov_isa
-        return self.config.timing.access_latency_ns(
-            store_kind, indirect_mov_hardware=impl_hw, compressed=compressed
-        )
 
     def access(self, set_index: int, address: int, is_write: bool = False) -> ExtendedAccessResult:
         """Serve one extended LLC request on this SM.
@@ -178,24 +186,22 @@ class ExtendedLLCKernel:
         """
         store_kind, store = self._store_for(address)
         local_set = self._local_set(store, set_index)
-        tag = address // self.config.block_size
+        tag = address // self._block_size
         hit = store.access(local_set, tag, is_write=is_write)
 
-        compressed = False
-        if hit and self.config.enable_compression and store.supports_compression:
+        compression = CompressionLevel.UNCOMPRESSED
+        if hit:
             meta = store.set_for(local_set).metadata(tag)
-            compressed = meta is not None and meta.compression != CompressionLevel.UNCOMPRESSED
+            if meta is not None:
+                compression = meta.compression
+        compressed = store.compression_enabled and compression != CompressionLevel.UNCOMPRESSED
 
-        latency = self._access_latency_ns(store_kind, compressed)
+        latency = self._latency_ns[store_kind, compressed]
         return ExtendedAccessResult(
             hit=hit,
             store_kind=store_kind,
             service_latency_ns=latency,
-            compression=(
-                store.set_for(local_set).metadata(tag).compression
-                if hit and store.set_for(local_set).metadata(tag) is not None
-                else CompressionLevel.UNCOMPRESSED
-            ),
+            compression=compression,
         )
 
     def fill(self, set_index: int, address: int, dirty: bool = False) -> ExtendedAccessResult:
@@ -207,7 +213,7 @@ class ExtendedLLCKernel:
         """
         store_kind, store = self._store_for(address)
         local_set = self._local_set(store, set_index)
-        tag = address // self.config.block_size
+        tag = address // self._block_size
 
         level = CompressionLevel.UNCOMPRESSED
         if self.config.enable_compression and store.supports_compression:
@@ -216,7 +222,7 @@ class ExtendedLLCKernel:
         evicted = store.fill(local_set, tag, dirty=dirty, compression=level)
         writebacks = [victim_tag * self.config.block_size for victim_tag, was_dirty in evicted if was_dirty]
 
-        latency = self._access_latency_ns(store_kind, level != CompressionLevel.UNCOMPRESSED)
+        latency = self._latency_ns[store_kind, level != CompressionLevel.UNCOMPRESSED]
         if self.config.enable_compression and store.supports_compression:
             latency += self.config.timing.compression_overhead_ns
         return ExtendedAccessResult(
@@ -231,7 +237,7 @@ class ExtendedLLCKernel:
         """Whether the block containing ``address`` currently resides on this SM."""
         _, store = self._store_for(address)
         local_set = self._local_set(store, set_index)
-        return store.set_for(local_set).lookup(address // self.config.block_size)
+        return store.set_for(local_set).lookup(address // self._block_size)
 
     def reset(self) -> None:
         """Drop all cached blocks."""
@@ -260,6 +266,8 @@ class ExtendedLLC:
     ) -> None:
         self.config = config
         self.cache_sm_ids = list(cache_sm_ids)
+        if len(set(self.cache_sm_ids)) != len(self.cache_sm_ids):
+            raise ValueError("cache_sm_ids must not repeat an SM")
         self.kernels: Dict[int, ExtendedLLCKernel] = {
             sm_id: ExtendedLLCKernel(
                 sm_id,
@@ -270,6 +278,13 @@ class ExtendedLLC:
             )
             for sm_id in self.cache_sm_ids
         }
+        # Global set g lives at slot g % total_sets: each cache-mode SM, in
+        # ``cache_sm_ids`` order, owns a contiguous run of its kernel's sets.
+        self._owners: List[Tuple[int, ExtendedLLCKernel, int]] = [
+            (sm_id, self.kernels[sm_id], local_set)
+            for sm_id in self.cache_sm_ids
+            for local_set in range(self.kernels[sm_id].num_sets)
+        ]
 
     @property
     def enabled(self) -> bool:
@@ -279,7 +294,7 @@ class ExtendedLLC:
     @property
     def total_sets(self) -> int:
         """Total extended LLC sets across all cache-mode SMs."""
-        return sum(kernel.num_sets for kernel in self.kernels.values())
+        return len(self._owners)
 
     def physical_capacity_bytes(self) -> int:
         """Raw extended LLC capacity (no compression gain)."""
@@ -295,15 +310,7 @@ class ExtendedLLC:
             raise RuntimeError("the extended LLC has no cache-mode SMs")
         if global_set_index < 0:
             raise ValueError("global_set_index must be non-negative")
-        ordered = [self.kernels[sm_id] for sm_id in self.cache_sm_ids]
-        index = global_set_index % self.total_sets
-        for kernel in ordered:
-            if index < kernel.num_sets:
-                return kernel.sm_id, kernel, index
-            index -= kernel.num_sets
-        # Unreachable given the modulo above.
-        kernel = ordered[-1]
-        return kernel.sm_id, kernel, kernel.num_sets - 1
+        return self._owners[global_set_index % len(self._owners)]
 
     def access(self, global_set_index: int, address: int, is_write: bool = False) -> ExtendedAccessResult:
         """Serve an extended LLC request on the owning cache-mode SM."""

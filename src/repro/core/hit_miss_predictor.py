@@ -85,8 +85,9 @@ class _SetPredictor:
         Maintains the two invariants and performs the BF1 <- BF2 swap when n
         reaches the associativity (flow diagram of Figure 6(b)).
         """
-        self.bf1.insert(tag)
-        self.bf2.insert(tag)
+        mask = self.bf1.mask(tag)
+        self.bf1.insert_mask(mask)
+        self.bf2.insert_mask(mask)
         self._bf2_tags.add(tag)
         if len(self._bf2_tags) >= self.associativity:
             self.bf1.clear()

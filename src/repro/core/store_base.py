@@ -76,14 +76,11 @@ class ExtendedLLCSet:
         self.physical_bytes = base_ways * block_size
         self._blocks: Dict[int, ExtendedBlockMetadata] = {}
         self._lru_clock = 0
+        # Physical bytes of the resident blocks, kept up to date by every
+        # fill, eviction and invalidation.
+        self._stored_bytes = 0
 
     # -- capacity accounting ----------------------------------------------------
-
-    def _stored_bytes(self) -> int:
-        return sum(
-            meta.compression.compressed_size if self.compression_enabled else self.block_size
-            for meta in self._blocks.values()
-        )
 
     def _bytes_for(self, level: CompressionLevel) -> int:
         return level.compressed_size if self.compression_enabled else self.block_size
@@ -94,7 +91,7 @@ class ExtendedLLCSet:
 
     def occupancy_bytes(self) -> int:
         """Physical bytes consumed by resident blocks."""
-        return self._stored_bytes()
+        return self._stored_bytes
 
     # -- Algorithm 1: tag lookup --------------------------------------------------
 
@@ -131,6 +128,7 @@ class ExtendedLLCSet:
             meta = self._blocks[tag]
             meta.valid = True
             meta.dirty = meta.dirty or dirty
+            self._stored_bytes += self._bytes_for(compression) - self._bytes_for(meta.compression)
             meta.compression = compression
             self._lru_clock += 1
             meta.lru_counter = self._lru_clock
@@ -138,12 +136,14 @@ class ExtendedLLCSet:
 
         needed = self._bytes_for(compression)
         evicted: List[Tuple[int, bool]] = []
-        while self._stored_bytes() + needed > self.physical_bytes and self._blocks:
+        while self._stored_bytes + needed > self.physical_bytes and self._blocks:
             victim_tag = min(self._blocks, key=lambda t: self._blocks[t].lru_counter)
             victim = self._blocks.pop(victim_tag)
+            self._stored_bytes -= self._bytes_for(victim.compression)
             evicted.append((victim_tag, victim.dirty))
 
         self._lru_clock += 1
+        self._stored_bytes += needed
         self._blocks[tag] = ExtendedBlockMetadata(
             tag=tag,
             valid=True,
@@ -155,7 +155,10 @@ class ExtendedLLCSet:
 
     def invalidate(self, tag: int) -> Optional[ExtendedBlockMetadata]:
         """Remove ``tag`` from the set, returning its metadata if present."""
-        return self._blocks.pop(tag, None)
+        meta = self._blocks.pop(tag, None)
+        if meta is not None:
+            self._stored_bytes -= self._bytes_for(meta.compression)
+        return meta
 
     def tags(self) -> List[int]:
         """Tags of all resident blocks."""

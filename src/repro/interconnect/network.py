@@ -125,18 +125,6 @@ class InterconnectNetwork:
         self.stats.traversals += 1
         return total
 
-    def one_way(self, partition_id: int, size_bytes: int, now_cycle: float) -> float:
-        """Send a single one-way flit (e.g. a writeback that needs no response)."""
-        if not 0 <= partition_id < self.config.num_partitions:
-            raise ValueError(f"partition_id {partition_id} out of range")
-        port = self._ports[partition_id]
-        latency = port.send_request(size_bytes, now_cycle)
-        self.stats.flits_injected += 1
-        self.stats.bytes_injected += size_bytes
-        self.stats.total_latency_cycles += latency
-        self.stats.traversals += 1
-        return latency
-
     def total_load_bytes(self) -> int:
         """Total payload carried by the network in both directions."""
         return sum(port.total_bytes() for port in self._ports)

@@ -37,7 +37,7 @@ class ReplacementPolicy(abc.ABC):
 
     @abc.abstractmethod
     def victim(self, valid_ways: Iterable[int]) -> int:
-        """Choose the way to evict among ``valid_ways`` (all ways occupied)."""
+        """Choose the way to evict among the distinct ``valid_ways`` (all ways occupied)."""
 
     def on_invalidate(self, way: int) -> None:
         """Record that ``way`` was invalidated.  Default: no-op."""
@@ -52,17 +52,17 @@ class LRUPolicy(ReplacementPolicy):
 
     Mirrors the paper's extended LLC kernel behaviour: each block carries an
     LRU counter which is reset on a hit while all other counters decrement
-    (Algorithm 1, lines 8-12).  Here we keep an equivalent recency timestamp.
+    (Algorithm 1, lines 8-12).  Here we keep the equivalent recency order.
     """
 
     def __init__(self, associativity: int) -> None:
         super().__init__(associativity)
-        self._clock = 0
-        self._last_use: Dict[int, int] = {}
+        # Used ways, least recently used first (dicts keep insertion order).
+        self._recency: Dict[int, None] = {}
 
     def _touch(self, way: int) -> None:
-        self._clock += 1
-        self._last_use[way] = self._clock
+        self._recency.pop(way, None)
+        self._recency[way] = None
 
     def on_insert(self, way: int) -> None:
         self._check_way(way)
@@ -74,13 +74,21 @@ class LRUPolicy(ReplacementPolicy):
 
     def on_invalidate(self, way: int) -> None:
         self._check_way(way)
-        self._last_use.pop(way, None)
+        self._recency.pop(way, None)
 
     def victim(self, valid_ways: Iterable[int]) -> int:
         candidates = list(valid_ways)
         if not candidates:
             raise ValueError("victim() called with no valid ways")
-        return min(candidates, key=lambda way: self._last_use.get(way, -1))
+        if len(candidates) == len(self._recency) == self.associativity:
+            # A full set: every way is a candidate and the oldest one loses.
+            return next(iter(self._recency))
+        # A way never used since its last invalidation is older than any other.
+        for way in candidates:
+            if way not in self._recency:
+                return way
+        wanted = set(candidates)
+        return next(way for way in self._recency if way in wanted)
 
 
 class FIFOPolicy(ReplacementPolicy):

@@ -1,0 +1,64 @@
+"""Accounting identities of the memory-hierarchy engine on replayed leaves.
+
+Every LLC access ends in exactly one place — a conventional hit, an
+extended hit or a DRAM fetch — and every extended-routed request is an
+extended hit, a predicted miss or a wasted (false-positive) round trip.
+"""
+
+import pytest
+
+from repro.sim.simulator import GPUSimulator, SimulationConfig
+from repro.systems.morpheus_system import MorpheusVariant
+from repro.workloads.applications import get_application
+
+from fidelity_utils import TINY_FIDELITY
+
+LEAVES = {
+    "BL": (None, 68, 0),
+    "Morpheus-ALL": (MorpheusVariant.ALL.to_config(), 40, 28),
+    "Morpheus-ALL/none": (MorpheusVariant.ALL.to_config(predictor="none"), 40, 28),
+    "Morpheus-ALL/perfect": (MorpheusVariant.ALL.to_config(predictor="perfect"), 40, 28),
+    "Morpheus-Basic": (MorpheusVariant.BASIC.to_config(), 48, 20),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(LEAVES))
+def leaf(request):
+    morpheus, compute_sms, cache_sms = LEAVES[request.param]
+    config = SimulationConfig(
+        morpheus=morpheus,
+        num_compute_sms=compute_sms,
+        num_cache_sms=cache_sms,
+        power_gate_unused=True,
+        capacity_scale=TINY_FIDELITY.capacity_scale,
+        trace_accesses=TINY_FIDELITY.trace_accesses,
+        warmup_accesses=TINY_FIDELITY.warmup_accesses,
+        system_name=request.param,
+        seed=1,
+    )
+    return request.param, GPUSimulator(config).replay(get_application("spmv"))
+
+
+def test_every_access_is_served_once(leaf):
+    _, measurement = leaf
+    counters = measurement.counters
+    assert counters.llc_accesses == TINY_FIDELITY.trace_accesses
+    assert counters.llc_accesses == (
+        counters.conventional_hits + counters.extended_hits + counters.dram_accesses
+    )
+
+
+def test_every_extended_request_has_one_outcome(leaf):
+    name, measurement = leaf
+    counters = measurement.counters
+    assert counters.extended_requests == (
+        counters.extended_hits + counters.predicted_misses + counters.false_positive_trips
+    )
+    if name == "BL":
+        assert counters.extended_requests == 0
+    else:
+        assert counters.extended_requests > 0
+    if name.endswith("/perfect"):
+        assert counters.false_positive_trips == 0
+    if name.endswith("/none"):
+        assert counters.predicted_misses == 0
