@@ -63,8 +63,9 @@ def compute_overheads(
     """Compute the §7.5 overhead numbers for a Morpheus configuration."""
     config = morpheus or MorpheusConfig()
     per_partition_slice = gpu.llc.capacity_bytes // gpu.llc.num_partitions
-    # The controller sits in every LLC partition; its combined logic power is
-    # the per-GPU figure from the energy model.
+    # The controller sits in every LLC partition, so this report charges
+    # ``morpheus_controller_watts`` once per partition.  Scoring
+    # (:class:`~repro.energy.model.EnergyModel`) charges it once per GPU.
     return MorpheusOverheads(
         bloom_filter_bytes_per_partition=config.bloom_filter_storage_bytes_per_partition,
         query_logic_bytes_per_partition=config.query_logic_storage_bytes,

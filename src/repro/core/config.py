@@ -17,7 +17,7 @@ Numbers come from the paper:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 KIB = 1024
 
@@ -157,17 +157,6 @@ class MorpheusConfig:
             * self.bloom_filters_per_set
             * self.max_extended_sets_per_partition
         )
-
-    @property
-    def controller_storage_bytes_per_partition(self) -> int:
-        """Total Morpheus controller storage per LLC partition (21 KiB)."""
-        return self.bloom_filter_storage_bytes_per_partition + self.query_logic_storage_bytes
-
-    # -- variant helpers -------------------------------------------------------
-
-    def with_predictor(self, predictor: str) -> "MorpheusConfig":
-        """Return a copy using a different hit/miss predictor flavour."""
-        return replace(self, predictor=predictor)
 
 
 BASIC_MORPHEUS = MorpheusConfig()

@@ -303,15 +303,6 @@ class MorpheusController:
             store_kind=fill.store_kind,
         )
 
-    # -- overhead reporting (§7.5) ---------------------------------------------------
-
-    def storage_overhead_bytes(self) -> int:
-        """On-chip storage added by this controller (Bloom filters + query logic)."""
-        return (
-            self.config.bloom_filter_storage_bytes_per_partition
-            + self.config.query_logic_storage_bytes
-        )
-
     def reset(self) -> None:
         """Reset predictor, query logic and statistics (LLC contents preserved)."""
         self.predictor.reset()

@@ -102,10 +102,6 @@ class WarpStatusTable:
         row.requests_served += 1
         return row
 
-    def busy_count(self) -> int:
-        """Number of rows currently serving a request."""
-        return sum(1 for row in self._rows if row.busy)
-
     def reset(self) -> None:
         """Clear all rows."""
         self._rows = [WarpStatusRow(set_index=i) for i in range(self.num_rows)]

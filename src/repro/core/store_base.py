@@ -244,10 +244,6 @@ class ExtendedLLCStore:
         self.stats.dirty_evictions += sum(1 for _, was_dirty in evicted if was_dirty)
         return evicted
 
-    def occupancy_blocks(self) -> int:
-        """Logical blocks resident across all sets."""
-        return sum(s.occupancy() for s in self.sets)
-
     def reset(self) -> None:
         """Drop all contents and statistics."""
         self.sets = [

@@ -138,9 +138,3 @@ class EnergyModel:
             return 0.0
         seconds = execution_cycles / (self.energies.core_clock_ghz * 1e9)
         return breakdown.total_j / seconds if seconds > 0 else 0.0
-
-    def morpheus_controller_power_fraction(self, total_watts: float) -> float:
-        """Fraction of total GPU power consumed by the Morpheus controller (§7.5)."""
-        if total_watts <= 0:
-            return 0.0
-        return self.energies.morpheus_controller_watts / total_watts

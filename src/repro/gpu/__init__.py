@@ -1,20 +1,8 @@
-"""GPU core substrate: configuration, SMs, warps, kernels and scheduling."""
+"""GPU hardware configuration: the RTX 3080 baseline of Table 1."""
 
 from repro.gpu.config import GPUConfig, RTX3080_CONFIG
-from repro.gpu.kernel import KernelLaunch, ThreadBlock
-from repro.gpu.scheduler import CTAScheduler, TwoLevelWarpScheduler
-from repro.gpu.sm import CoreMode, StreamingMultiprocessor
-from repro.gpu.warp import Warp, WarpState
 
 __all__ = [
-    "CTAScheduler",
-    "CoreMode",
     "GPUConfig",
-    "KernelLaunch",
     "RTX3080_CONFIG",
-    "StreamingMultiprocessor",
-    "ThreadBlock",
-    "TwoLevelWarpScheduler",
-    "Warp",
-    "WarpState",
 ]

@@ -59,28 +59,6 @@ class GPUConfig:
                 f"({self.llc.num_partitions} vs {self.interconnect.num_partitions})"
             )
 
-    # -- derived quantities --------------------------------------------------
-
-    @property
-    def num_llc_partitions(self) -> int:
-        """Number of LLC partitions / memory controllers."""
-        return self.llc.num_partitions
-
-    @property
-    def peak_ipc_per_sm(self) -> float:
-        """Peak instructions per cycle of one SM (one per CUDA core, SIMD width 32)."""
-        return self.cuda_cores_per_sm / self.threads_per_warp
-
-    @property
-    def peak_dram_bandwidth_gbps(self) -> float:
-        """Aggregate off-chip bandwidth."""
-        return self.dram.total_bandwidth_gbps
-
-    @property
-    def total_register_file_bytes(self) -> int:
-        """Register file capacity across all SMs."""
-        return self.register_file_bytes_per_sm * self.num_sms
-
     # -- derived configurations ----------------------------------------------
 
     def with_num_sms(self, num_sms: int) -> "GPUConfig":

@@ -1,4 +1,4 @@
-"""Memory-hierarchy substrate: requests, caches, MSHRs, the banked LLC and DRAM.
+"""Memory-hierarchy substrate: requests, caches, the banked LLC and DRAM.
 
 This subpackage provides the building blocks of the baseline GPU memory
 hierarchy that Morpheus extends:
@@ -7,9 +7,7 @@ hierarchy that Morpheus extends:
   through every component of the simulated hierarchy.
 * :mod:`repro.memory.replacement` -- replacement policies (LRU and friends).
 * :mod:`repro.memory.cache` -- a generic set-associative cache model used for
-  the per-SM L1 caches and the conventional LLC slices.
-* :mod:`repro.memory.mshr` -- miss status holding registers used to merge
-  outstanding misses.
+  the conventional LLC slices.
 * :mod:`repro.memory.address_mapping` -- static address interleaving across
   LLC partitions and DRAM channels.
 * :mod:`repro.memory.llc` -- the banked conventional last level cache.
@@ -20,7 +18,6 @@ from repro.memory.address_mapping import AddressMapping
 from repro.memory.cache import CacheBlock, CacheSet, CacheStats, SetAssociativeCache
 from repro.memory.dram import DRAMConfig, DRAMModel
 from repro.memory.llc import LLCPartition, BankedLLC
-from repro.memory.mshr import MSHRFile
 from repro.memory.replacement import (
     FIFOPolicy,
     LRUPolicy,
@@ -42,7 +39,6 @@ __all__ = [
     "FIFOPolicy",
     "LLCPartition",
     "LRUPolicy",
-    "MSHRFile",
     "MemoryRequest",
     "MemoryResponse",
     "RandomPolicy",

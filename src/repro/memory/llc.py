@@ -2,7 +2,7 @@
 
 The RTX 3080 baseline has a 5 MiB LLC distributed over 10 partitions, each
 colocated with a memory controller.  Each :class:`LLCPartition` owns one
-set-associative slice plus an MSHR file and a simple bandwidth model
+set-associative slice and a simple bandwidth model
 (~300 GB/s per partition per the paper's §5 discussion).  The
 :class:`BankedLLC` stitches partitions together using the block-interleaved
 :class:`~repro.memory.address_mapping.AddressMapping`.
@@ -15,7 +15,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.memory.address_mapping import AddressMapping
 from repro.memory.cache import CacheStats, SetAssociativeCache
-from repro.memory.mshr import MSHRFile
 from repro.memory.request import MemoryRequest
 
 
@@ -75,7 +74,7 @@ class LLCConfig:
 
 
 class LLCPartition:
-    """One LLC partition: a cache slice, MSHRs and a bandwidth account."""
+    """One LLC partition: a cache slice and a bandwidth account."""
 
     def __init__(self, partition_id: int, config: LLCConfig) -> None:
         self.partition_id = partition_id
@@ -89,7 +88,6 @@ class LLCPartition:
             associativity=config.associativity,
             name=f"llc-partition-{partition_id}",
         )
-        self.mshrs = MSHRFile(num_entries=config.mshr_entries)
         self._busy_until_cycle = 0.0
         self.bytes_served = 0
         self.requests_served = 0
@@ -122,10 +120,9 @@ class LLCPartition:
         return bytes_per_cycle * self.config.core_clock_ghz
 
     def reset(self) -> None:
-        """Clear contents, MSHRs and counters."""
+        """Clear contents and counters."""
         self.cache.flush()
         self.cache.reset_stats()
-        self.mshrs.reset()
         self._busy_until_cycle = 0.0
         self.bytes_served = 0
         self.requests_served = 0

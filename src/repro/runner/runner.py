@@ -362,11 +362,6 @@ class ExperimentRunner:
         if self.use_disk_cache:
             self.disk_cache.store_measurement(replay_key, measurement, mode=mode)
 
-    @property
-    def cache_suspended(self) -> bool:
-        """True inside a :meth:`cache_bypassed` block (results are recomputed)."""
-        return self._cache_suspended
-
     def load_scenario_payload(self, run_key: str) -> Optional[Dict]:
         """The cached scenario-aggregate payload for ``run_key``, if any.
 

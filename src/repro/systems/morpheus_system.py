@@ -172,7 +172,3 @@ class MorpheusSystem(EvaluatedSystem):
     def evaluate(self, profile: ApplicationProfile) -> SimulationStats:
         point = self.operating_point(profile)
         return self._simulate_point(profile, point.num_compute_sms, point.num_cache_sms)
-
-    def compute_sm_table_row(self, profiles: Sequence[ApplicationProfile]) -> Dict[str, int]:
-        """Table 3 row: compute-mode SM count per application for this variant."""
-        return {profile.name: self.operating_point(profile).num_compute_sms for profile in profiles}

@@ -124,10 +124,6 @@ class TestWritesAndOverheads:
             writebacks += len(outcome.writebacks)
         assert writebacks > 0
 
-    def test_storage_overhead_is_21_kib(self):
-        controller = make_controller()
-        assert controller.storage_overhead_bytes() == 21 * 1024
-
     def test_extended_sets_per_partition_capped_at_256(self):
         controller = make_controller(cache_sms=60)
         assert controller.extended_sets_per_partition() <= 256

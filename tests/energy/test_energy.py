@@ -75,11 +75,6 @@ class TestEnergyModel:
         watts = model.average_power_watts(breakdown, execution_cycles=1e9)
         assert 50 < watts < 600
 
-    def test_controller_power_fraction_below_one_percent_at_300w(self):
-        model = EnergyModel()
-        fraction = model.morpheus_controller_power_fraction(total_watts=300.0)
-        assert fraction < 0.01
-
     def test_zero_cycles_handled(self):
         model = EnergyModel()
         breakdown = EnergyBreakdown()

@@ -22,6 +22,7 @@ from repro.runner.cache import ResultCache
 from repro.runner.cache import main as cache_cli
 from repro.sim.performance_model import PerformanceModel, ReplayMeasurement
 from repro.sim.simulator import GPUSimulator
+from repro.systems.fidelity import FAST_FIDELITY
 from runner_test_utils import TINY_FIDELITY, tiny_config
 
 
@@ -211,18 +212,31 @@ class TestScoreMany:
         assert runner.disk_cache.replay_stores > 0
 
     def test_warm_plan_rerun_has_zero_replay_misses(self, tmp_path):
+        # A small Figure-12-style plan run twice through two fresh runners
+        # sharing one cache directory.  The warm pass must be served from
+        # the cache alone; a miss points at a config field missing from
+        # REPLAY_FIELDS/SCORE_FIELDS, a measurement field that does not
+        # round-trip, or a content key that depends on process state.
         spec = ExperimentSpec(
-            systems=("BL", "IBL"), applications=("kmeans",), fidelity=TINY_FIDELITY
+            systems=("BL", "IBL", "Morpheus-Basic"),
+            applications=("kmeans", "spmv"),
+            fidelity=FAST_FIDELITY,
         )
         cold = ExperimentRunner(cache_dir=tmp_path / "cache", max_workers=0)
         with using_runner(cold):
-            cold.run_plan(spec)
+            cold_result = cold.run_plan(spec)
+        assert cold.replays > 0
         warm = ExperimentRunner(cache_dir=tmp_path / "cache", max_workers=0)
         with using_runner(warm):
-            warm.run_plan(spec)
+            warm_result = warm.run_plan(spec)
         assert warm.replays == 0
         assert warm.disk_cache.replay_misses == 0
         assert warm.disk_cache.misses == 0
+        assert len(warm_result) == len(cold_result)
+        for cell, stats in cold_result:
+            assert dataclasses.asdict(stats) == dataclasses.asdict(
+                warm_result.results[cell]
+            ), cell
 
 
 class TestRescoringSweeps:
