@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.analysis.overheads import compute_overheads
 from repro.core.config import MorpheusConfig
 from repro.core.controller import MorpheusController, PredictorMode
 from repro.core.extended_llc import Compressibility, ExtendedLLC
@@ -123,6 +124,15 @@ class TestWritesAndOverheads:
             )
             writebacks += len(outcome.writebacks)
         assert writebacks > 0
+
+    def test_storage_overhead_is_21_kib(self):
+        # The §7.5 accounting of the controller's own configuration:
+        # 16 KiB of Bloom filters plus 5 KiB of query logic per partition.
+        controller = make_controller()
+        overheads = compute_overheads(controller.config)
+        assert overheads.bloom_filter_bytes_per_partition == 16 * 1024
+        assert overheads.query_logic_bytes_per_partition == 5 * 1024
+        assert overheads.total_bytes_per_partition == 21 * 1024
 
     def test_extended_sets_per_partition_capped_at_256(self):
         controller = make_controller(cache_sms=60)

@@ -10,6 +10,7 @@ from repro.core.l1_store import L1Store
 from repro.core.register_file_store import RegisterFileStore
 from repro.core.shared_memory_store import SharedMemoryStore
 from repro.core.store_base import ExtendedLLCSet
+from repro.gpu.config import RTX3080_CONFIG
 
 
 class TestExtendedLLCSet:
@@ -86,6 +87,50 @@ class TestRegisterFileStore:
         with pytest.raises(ValueError):
             store.access(5, tag=0)
 
+    def test_invalid_parameters_rejected(self):
+        with pytest.raises(ValueError):
+            RegisterFileStore(register_file_bytes=0)
+        with pytest.raises(ValueError):
+            RegisterFileStore(max_registers_per_thread=0)
+        with pytest.raises(ValueError):
+            RegisterFileStore(aux_registers_per_warp=-1)
+        with pytest.raises(ValueError):
+            RegisterFileStore.data_registers_per_warp(0)
+
+    def test_store_fits_in_the_sm_register_file(self):
+        register_file = RTX3080_CONFIG.register_file_bytes_per_sm
+        for warps in (1, 8, 16, 32, 48):
+            store = RegisterFileStore(num_warps=warps, register_file_bytes=register_file)
+            assert store.data_capacity_bytes() == RegisterFileStore.capacity_bytes_for_warps(
+                warps, register_file_bytes=register_file
+            )
+            assert store.data_capacity_bytes() <= register_file
+
+    def test_effective_capacity_gains_only_when_compressing(self):
+        plain = RegisterFileStore(num_warps=8)
+        compressed = RegisterFileStore(num_warps=8, compression_enabled=True)
+        assert plain.effective_capacity_bytes(2.0) == plain.data_capacity_bytes()
+        assert compressed.effective_capacity_bytes(2.0) == 2 * compressed.data_capacity_bytes()
+        with pytest.raises(ValueError):
+            compressed.effective_capacity_bytes(0.5)
+
+    def test_dirty_eviction_counted_in_store_stats(self):
+        # One register-file warp limited to a single data register.
+        store = RegisterFileStore(num_warps=1, max_registers_per_thread=11)
+        assert store.ways_per_set == 1
+        store.fill(0, tag=1, dirty=True)
+        evicted = store.fill(0, tag=2)
+        assert evicted == [(1, True)]
+        assert (store.stats.fills, store.stats.evictions, store.stats.dirty_evictions) == (2, 1, 1)
+
+    def test_reset_drops_contents_and_stats(self):
+        store = RegisterFileStore(num_warps=2)
+        store.fill(1, tag=9)
+        assert store.access(1, tag=9)
+        store.reset()
+        assert store.stats.accesses == 0
+        assert not store.access(1, tag=9)
+
 
 class TestL1AndSharedStores:
     def test_l1_capacity_flat_with_warps(self):
@@ -107,6 +152,28 @@ class TestL1AndSharedStores:
 
     def test_l1_bypasses_conventional_llc(self):
         assert L1Store(num_warps=4).fills_bypass_conventional_llc()
+
+    def test_l1_store_spans_the_unified_l1(self):
+        store = L1Store(num_warps=16, l1_bytes=RTX3080_CONFIG.l1_shared_bytes_per_sm)
+        assert store.data_capacity_bytes() == 128 * 1024
+
+    def test_invalid_sizes_rejected(self):
+        with pytest.raises(ValueError):
+            L1Store(l1_bytes=0)
+        with pytest.raises(ValueError):
+            SharedMemoryStore(shared_memory_bytes=0)
+        with pytest.raises(ValueError):
+            L1Store.capacity_bytes_for_warps(0)
+        with pytest.raises(ValueError):
+            SharedMemoryStore.capacity_bytes_for_warps(0)
+
+    def test_compression_level_kept_only_where_supported(self):
+        shared = SharedMemoryStore(num_warps=4, compression_enabled=True)
+        l1 = L1Store(num_warps=4, compression_enabled=True)
+        for store in (shared, l1):
+            store.fill(0, tag=3, compression=CompressionLevel.HIGH)
+        assert shared.set_for(0).metadata(3).compression is CompressionLevel.HIGH
+        assert l1.set_for(0).metadata(3).compression is CompressionLevel.UNCOMPRESSED
 
 
 class TestExtendedLLCKernel:

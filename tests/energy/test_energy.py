@@ -75,6 +75,19 @@ class TestEnergyModel:
         watts = model.average_power_watts(breakdown, execution_cycles=1e9)
         assert 50 < watts < 600
 
+    def test_controller_power_fraction_below_one_percent_at_300w(self):
+        # The power the energy model charges for the Morpheus controller is
+        # the difference between the same run with and without it.
+        model = EnergyModel()
+        cycles = 1e9
+        with_controller = self._compute(execution_cycles=cycles, morpheus_enabled=True)
+        without = self._compute(execution_cycles=cycles, morpheus_enabled=False)
+        controller_watts = model.average_power_watts(
+            with_controller, cycles
+        ) - model.average_power_watts(without, cycles)
+        assert controller_watts == pytest.approx(DEFAULT_ENERGIES.morpheus_controller_watts)
+        assert controller_watts / 300.0 < 0.01
+
     def test_zero_cycles_handled(self):
         model = EnergyModel()
         breakdown = EnergyBreakdown()

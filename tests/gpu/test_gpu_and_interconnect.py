@@ -43,6 +43,50 @@ class TestGPUConfig:
         with pytest.raises(ValueError):
             GPUConfig(llc=LLCConfig(num_partitions=5, capacity_bytes=5 * 1024 * 1024))
 
+    def test_invalid_core_counts_rejected(self):
+        with pytest.raises(ValueError):
+            GPUConfig(num_sms=0)
+        with pytest.raises(ValueError):
+            GPUConfig(warps_per_sm=0)
+        with pytest.raises(ValueError):
+            GPUConfig(threads_per_warp=0)
+        with pytest.raises(ValueError):
+            RTX3080_CONFIG.with_num_sms(0)
+
+    def test_with_llc_capacity_is_exact(self):
+        resized = RTX3080_CONFIG.with_llc_capacity(10 * 300 * 1024)
+        assert resized.llc.capacity_bytes == 10 * 300 * 1024
+        assert resized.llc.partition_capacity_bytes == 300 * 1024
+        assert resized.num_sms == RTX3080_CONFIG.num_sms
+        # The capacity must split evenly over the 10 partitions.
+        with pytest.raises(ValueError):
+            RTX3080_CONFIG.with_llc_capacity(3 * 1024 * 1024)
+
+    def test_frequency_boost_keeps_capacities(self):
+        boosted = RTX3080_CONFIG.with_frequency_boost(1.5)
+        llc, base = boosted.llc, RTX3080_CONFIG.llc
+        assert (llc.capacity_bytes, llc.num_partitions, llc.associativity, llc.mshr_entries) == (
+            base.capacity_bytes, base.num_partitions, base.associativity, base.mshr_entries
+        )
+        assert llc.bandwidth_gbps_per_partition == pytest.approx(
+            base.bandwidth_gbps_per_partition * 1.5
+        )
+        assert boosted.interconnect.one_way_latency_cycles == pytest.approx(
+            RTX3080_CONFIG.interconnect.one_way_latency_cycles / 1.5
+        )
+        assert boosted.dram.capacity_bytes == RTX3080_CONFIG.dram.capacity_bytes
+
+    def test_frequency_boost_rejects_non_positive_factor(self):
+        with pytest.raises(ValueError):
+            RTX3080_CONFIG.with_frequency_boost(0.0)
+
+    def test_extra_l1_grows_l1_cache_and_rejects_negative(self):
+        bigger = RTX3080_CONFIG.with_extra_l1(32 * 1024)
+        assert bigger.l1_cache_bytes_per_sm == RTX3080_CONFIG.l1_cache_bytes_per_sm + 32 * 1024
+        assert bigger.register_file_bytes_per_sm == RTX3080_CONFIG.register_file_bytes_per_sm
+        with pytest.raises(ValueError):
+            RTX3080_CONFIG.with_extra_l1(-1)
+
 
 class TestInterconnect:
     def test_link_serialization_and_queueing(self):

@@ -13,7 +13,7 @@ from repro.sim.simulator import GPUSimulator, SimulationConfig, simulate
 from repro.gpu.config import RTX3080_CONFIG
 from repro.systems.fidelity import FAST_FIDELITY
 from repro.systems.morpheus_system import MorpheusSystem, MorpheusVariant
-from repro.systems.registry import evaluate_application
+from repro.systems.registry import evaluate_application, get_system, run_scenario
 from repro.workloads.applications import get_application
 from repro.workloads.generator import TraceGenerator
 
@@ -186,3 +186,35 @@ class TestEvaluatedSystems:
     def test_ibl_uses_fewer_sms_for_thrashing_app(self):
         ibl = evaluate_application("IBL", "kmeans", fidelity=FAST_FIDELITY)
         assert ibl.num_compute_sms < 68
+
+
+class TestSystemRegistry:
+    def test_unknown_system_rejected_with_valid_names(self):
+        with pytest.raises(ValueError, match="Morpheus-ALL"):
+            get_system("Morpheus-Turbo")
+
+    def test_predictor_override_needs_a_morpheus_system(self):
+        with pytest.raises(ValueError):
+            get_system("BL", predictor="perfect")
+        declarative = get_system("Morpheus-Basic", predictor="perfect")
+        named = get_system("Morpheus-Basic(perfect)")
+        assert declarative.name == named.name == "Morpheus-Basic(perfect)"
+        assert declarative.morpheus_config == named.morpheus_config
+
+    def test_ibl_2x_llc_doubles_the_conventional_llc(self):
+        system = get_system("IBL-2X-LLC", fidelity=FAST_FIDELITY)
+        assert system.name == "IBL-2X-LLC"
+        assert system.scale_factor == 2.0
+        assert system._gpu.llc == RTX3080_CONFIG.with_llc_scale(2.0).llc
+
+    def test_scenario_arbitration_and_policy_are_exclusive(self):
+        from repro.scenarios.policy import DynamicCapacityManager
+
+        with pytest.raises(ValueError, match="not both"):
+            run_scenario(
+                "Morpheus-Basic",
+                "bursty",
+                fidelity=FAST_FIDELITY,
+                policy=DynamicCapacityManager(),
+                arbitration="proportional",
+            )

@@ -104,3 +104,29 @@ class TestAddressMapping:
         mapping = AddressMapping()
         with pytest.raises(ValueError):
             mapping.partition_of(-1)
+
+    def test_invalid_construction_rejected(self):
+        with pytest.raises(ValueError):
+            AddressMapping(num_partitions=0)
+        with pytest.raises(ValueError):
+            AddressMapping(block_size=96)  # not a power of two
+        with pytest.raises(ValueError):
+            AddressMapping(num_channels=-1)
+
+    def test_explicit_channel_count_interleaves_independently(self):
+        mapping = AddressMapping(num_partitions=10, block_size=128, num_channels=4)
+        address = 13 * 128
+        assert mapping.partition_of(address) == 3
+        assert mapping.channel_of(address) == 1
+        channels = [mapping.channel_of(i * 128) for i in range(8)]
+        assert channels == [0, 1, 2, 3, 0, 1, 2, 3]
+
+    def test_addresses_for_partition_from_start_block(self):
+        mapping = AddressMapping(num_partitions=10, block_size=128)
+        first = mapping.addresses_for_partition(2, count=3)
+        later = mapping.addresses_for_partition(2, count=2, start_block=1)
+        assert later == first[1:]
+        assert len(set(mapping.block_number(a) for a in first)) == 3
+        assert mapping.addresses_for_partition(2, count=0) == []
+        with pytest.raises(ValueError):
+            mapping.addresses_for_partition(2, count=-1)

@@ -18,6 +18,7 @@ The acceptance properties of the service backend:
 from __future__ import annotations
 
 import dataclasses
+import enum
 import json
 import os
 import signal
@@ -25,6 +26,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from typing import Dict, List, Optional, Tuple, Union
 
 import pytest
 
@@ -45,6 +47,27 @@ from repro.runner.service import (
 from repro.sim.simulator import SimulationConfig
 from repro.workloads.applications import get_application
 from runner_test_utils import TINY_FIDELITY, tiny_config
+
+
+class _Level(enum.Enum):
+    LOW = "low"
+    HIGH = "high"
+
+
+@dataclasses.dataclass(frozen=True)
+class _Inner:
+    level: _Level = _Level.LOW
+    size: int = 0
+
+
+@dataclasses.dataclass(frozen=True)
+class _Containers:
+    sizes: Tuple[int, ...] = ()
+    pair: Tuple[_Inner, str] = (_Inner(), "")
+    items: List[_Inner] = dataclasses.field(default_factory=list)
+    by_name: Dict[str, _Inner] = dataclasses.field(default_factory=dict)
+    maybe: Optional[_Inner] = None
+    either: Union[_Inner, _Level, None] = None
 
 
 def _stats_dicts(stats_list):
@@ -117,6 +140,32 @@ class TestCodecRoundTrip:
     def test_decode_rejects_non_dataclass(self):
         with pytest.raises(TypeError):
             codec.decode(int, 3)
+
+    def test_containers_decode_element_wise(self):
+        value = _Containers(
+            sizes=(1, 2, 3),
+            pair=(_Inner(_Level.HIGH, 4), "x"),
+            items=[_Inner(size=5), _Inner(_Level.HIGH, 6)],
+            by_name={"a": _Inner(_Level.HIGH, 7)},
+            maybe=_Inner(size=8),
+            either=_Level.HIGH,
+        )
+        wire = json.loads(json.dumps(codec.encode(value)))
+        decoded = codec.decode(_Containers, wire)
+        assert decoded == value
+        assert isinstance(decoded.sizes, tuple)
+        assert decoded.by_name["a"].level is _Level.HIGH
+
+    def test_missing_fields_keep_their_defaults(self):
+        assert codec.decode(_Containers, {"sizes": [9]}) == _Containers(sizes=(9,))
+
+    def test_union_with_no_matching_member_rejected(self):
+        with pytest.raises(ValueError):
+            codec.decode(_Containers, {"either": "medium"})
+
+    def test_nested_dataclass_needs_a_mapping(self):
+        with pytest.raises(TypeError):
+            codec.decode(_Containers, {"items": [[1, 2]]})
 
 
 class TestJobConstruction:
