@@ -83,6 +83,7 @@ class AddressSeparator:
         if extended_capacity_bytes == 0:
             self._conventional_units = 1
             self._extended_units = 0
+        self._period = self._conventional_units + self._extended_units
 
     def _total_units(self, total_bytes: int) -> int:
         """Number of granularity units in the interleaving period (>= 2)."""
@@ -94,24 +95,24 @@ class AddressSeparator:
     @property
     def extended_fraction(self) -> float:
         """Fraction of the address space routed to the extended LLC."""
-        period = self._conventional_units + self._extended_units
-        return self._extended_units / period if period else 0.0
+        return self._extended_units / self._period
 
-    def route(self, address: int) -> SeparationDecision:
-        """Decide which LLC serves the block containing ``address``."""
+    def extended_set(self, address: int) -> int:
+        """The extended LLC set of ``address``'s block, or -1 when the conventional slice serves it."""
         if address < 0:
             raise ValueError("address must be non-negative")
         if self._extended_units == 0:
-            return SeparationDecision(target="conventional")
-
+            return -1
         block_index = address // self.block_size
-        unit_index = block_index // self.granularity_blocks
-        period = self._conventional_units + self._extended_units
-        position = unit_index % period
-        if position < self._conventional_units:
-            return SeparationDecision(target="conventional")
+        if block_index // self.granularity_blocks % self._period < self._conventional_units:
+            return -1
+        return block_index % self.num_extended_sets
 
-        extended_set = block_index % self.num_extended_sets
+    def route(self, address: int) -> SeparationDecision:
+        """Decide which LLC serves the block containing ``address``."""
+        extended_set = self.extended_set(address)
+        if extended_set < 0:
+            return SeparationDecision(target="conventional")
         return SeparationDecision(
             target="extended",
             extended_set=extended_set,

@@ -12,6 +12,24 @@ import hashlib
 from typing import Iterable
 
 
+def bloom_mask(key: int, num_bits: int, num_hashes: int) -> int:
+    """The ``num_hashes`` bits of a ``num_bits``-bit filter that ``key`` sets, as one integer.
+
+    Double hashing over a blake2b digest of the key.  The mask is a pure
+    function of its arguments, so callers that see a key repeatedly may
+    memoise it.
+    """
+    if key < 0:
+        raise ValueError("keys must be non-negative")
+    digest = hashlib.blake2b(int(key).to_bytes(16, "little", signed=False), digest_size=16).digest()
+    h1 = int.from_bytes(digest[:8], "little")
+    h2 = int.from_bytes(digest[8:], "little") | 1
+    bits = 0
+    for i in range(num_hashes):
+        bits |= 1 << ((h1 + i * h2) % num_bits)
+    return bits
+
+
 class BloomFilter:
     """A standard (non-counting) Bloom filter over integer keys.
 
@@ -32,22 +50,12 @@ class BloomFilter:
         self._insertions = 0
 
     def mask(self, key: int) -> int:
-        """The bits ``key`` sets, as one integer (double hashing over a blake2 digest).
+        """The bits ``key`` sets, as one integer (see :func:`bloom_mask`).
 
         Filters of the same size and hash count share masks, so a key hashed
         once can be inserted into several of them (:meth:`insert_mask`).
         """
-        if key < 0:
-            raise ValueError("keys must be non-negative")
-        digest = hashlib.blake2b(
-            int(key).to_bytes(16, "little", signed=False), digest_size=16
-        ).digest()
-        h1 = int.from_bytes(digest[:8], "little")
-        h2 = int.from_bytes(digest[8:], "little") | 1
-        bits = 0
-        for i in range(self.num_hashes):
-            bits |= 1 << ((h1 + i * h2) % self.num_bits)
-        return bits
+        return bloom_mask(key, self.num_bits, self.num_hashes)
 
     def insert_mask(self, mask: int) -> None:
         """Insert the key whose :meth:`mask` is ``mask``."""
@@ -58,10 +66,13 @@ class BloomFilter:
         """Insert ``key`` into the filter."""
         self.insert_mask(self.mask(key))
 
+    def query_mask(self, mask: int) -> bool:
+        """Whether the key whose :meth:`mask` is ``mask`` *may* be in the set."""
+        return self._bits & mask == mask
+
     def query(self, key: int) -> bool:
         """Return True if ``key`` *may* be in the set (never a false negative)."""
-        mask = self.mask(key)
-        return self._bits & mask == mask
+        return self.query_mask(self.mask(key))
 
     def insert_all(self, keys: Iterable[int]) -> None:
         """Insert every key in ``keys``."""

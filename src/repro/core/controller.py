@@ -18,8 +18,8 @@ The controller performs the three tasks the paper assigns it:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from dataclasses import dataclass
+from typing import Callable, NamedTuple, Optional, Tuple
 
 from repro.core.address_separation import AddressSeparator
 from repro.core.config import MorpheusConfig
@@ -27,9 +27,9 @@ from repro.core.extended_llc import ExtendedLLC
 from repro.core.hit_miss_predictor import HitMissPredictor
 from repro.core.query_logic import ExtendedLLCQueryLogic
 from repro.memory.llc import LLCPartition
-from repro.memory.request import MemoryRequest
+from repro.memory.request import AccessType, MemoryRequest
 
-DramAccessFn = Callable[[MemoryRequest, float], float]
+DramAccessFn = Callable[[int, int, float], float]
 NocRoundTripFn = Callable[[int, float], float]
 
 
@@ -76,17 +76,20 @@ class ControllerStats:
         return self.llc_hits / self.requests
 
 
-@dataclass
-class AccessOutcome:
+class AccessOutcome(NamedTuple):
     """Result of one LLC request processed by the Morpheus controller."""
 
     hit_level: str                      # "llc", "extended_llc" or "dram"
     latency_cycles: float
-    served_by_extended_llc: bool = False
+    writebacks: Tuple[int, ...] = ()    # dirty victims' block addresses
     predicted_miss: bool = False
     false_positive: bool = False
-    writebacks: List[int] = field(default_factory=list)
     store_kind: str = ""
+
+    @property
+    def served_by_extended_llc(self) -> bool:
+        """Whether the extended LLC supplied the data."""
+        return self.hit_level == "extended_llc"
 
 
 class MorpheusController:
@@ -100,9 +103,10 @@ class MorpheusController:
         config: Morpheus configuration.
         core_clock_ghz: GPU core clock, used to convert the timing model's
             nanoseconds into cycles.
-        dram_access: Callback ``(request, at_cycle) -> latency_cycles`` used
-            to fetch blocks from DRAM.  A constant-latency default is used
-            when the simulator does not inject one.
+        dram_access: Callback ``(address, size_bytes, at_cycle) ->
+            latency_cycles`` used to fetch blocks from DRAM.  A
+            constant-latency default is used when the simulator does not
+            inject one.
         noc_round_trip: Callback ``(size_bytes, at_cycle) -> latency_cycles``
             for the extra controller <-> cache-mode-SM round trip.  Defaults
             to twice the timing model's one-way latency.
@@ -123,7 +127,9 @@ class MorpheusController:
         self.core_clock_ghz = core_clock_ghz
         self.predictor_mode = PredictorMode(self.config.predictor)
         self._extended_sets = self._count_extended_sets()
-        # This partition's first set in the global extended LLC (see _global_set).
+        # This partition's first set in the global extended LLC: each
+        # partition's controller owns a disjoint slice of the extended LLC
+        # sets so that the full extended capacity is used across partitions.
         self._global_set_base = self.partition.partition_id * self._extended_sets
 
         extended_capacity = (
@@ -132,7 +138,7 @@ class MorpheusController:
         num_partitions = self.partition.config.num_partitions
         per_partition_extended = extended_capacity // num_partitions if num_partitions else 0
         self.separator = AddressSeparator(
-            conventional_capacity_bytes=self.partition.cache.capacity_bytes,
+            conventional_capacity_bytes=self.partition.capacity_bytes,
             extended_capacity_bytes=per_partition_extended,
             block_size=self.config.block_size,
             num_extended_sets=max(1, self._extended_sets),
@@ -148,6 +154,8 @@ class MorpheusController:
         )
         self._dram_access = dram_access or self._default_dram_latency
         self._noc_round_trip = noc_round_trip or self._default_noc_round_trip
+        # A predicted miss's latency before its DRAM fetch.
+        self._predicted_miss_cycles = self.partition.config.hit_latency_cycles * 0.25
         self.stats = ControllerStats()
 
     # -- helpers --------------------------------------------------------------
@@ -163,144 +171,131 @@ class MorpheusController:
         per_partition = total // self.partition.config.num_partitions
         return min(self.config.max_extended_sets_per_partition, max(1, per_partition))
 
-    def _ns_to_cycles(self, ns: float) -> float:
-        return ns * self.core_clock_ghz
-
-    def _default_dram_latency(self, request: MemoryRequest, at_cycle: float) -> float:
+    def _default_dram_latency(self, address: int, size_bytes: int, at_cycle: float) -> float:
         # ~600 ns at the core clock; the simulator normally injects the real
         # DRAM model which adds queueing on top.
         return 600.0 * self.core_clock_ghz
 
     def _default_noc_round_trip(self, size_bytes: int, at_cycle: float) -> float:
-        return self._ns_to_cycles(2.0 * self.config.timing.noc_one_way_ns)
-
-    def _dram(self, request: MemoryRequest, at_cycle: float) -> float:
-        self.stats.dram_accesses += 1
-        return self._dram_access(request, at_cycle)
-
-    def _noc(self, size_bytes: int, at_cycle: float) -> float:
-        return self._noc_round_trip(size_bytes, at_cycle)
+        return 2.0 * self.config.timing.noc_one_way_ns * self.core_clock_ghz
 
     # -- the LLC lookup procedure (Figure 3 / Figure 6a) ------------------------------
 
-    def access(self, request: MemoryRequest, now_cycle: float = 0.0) -> AccessOutcome:
-        """Process one LLC request arriving at this partition."""
+    def access(
+        self, address: int, is_write: bool = False, size_bytes: int = 128, now_cycle: float = 0.0
+    ) -> AccessOutcome:
+        """Process one LLC request for the block at ``address`` arriving at this partition."""
         self.stats.requests += 1
-        decision = self.separator.route(request.address)
+        extended_set = self.separator.extended_set(address)
+        if extended_set < 0 or self.extended_llc is None:
+            return self._access_conventional(address, is_write, size_bytes, now_cycle)
+        return self._access_extended(address, is_write, size_bytes, now_cycle, extended_set)
 
-        if decision.target == "conventional" or not self.extended_llc:
-            return self._access_conventional(request, now_cycle)
-        return self._access_extended(request, now_cycle, decision.extended_set)
-
-    def _access_conventional(self, request: MemoryRequest, now_cycle: float) -> AccessOutcome:
-        self.stats.conventional_requests += 1
-        hit, latency, writeback = self.partition.access(request, now_cycle)
-        writebacks = [writeback] if writeback is not None else []
-        if writebacks:
-            self.stats.writebacks += len(writebacks)
+    def _access_conventional(
+        self, address: int, is_write: bool, size_bytes: int, now_cycle: float
+    ) -> AccessOutcome:
+        stats = self.stats
+        stats.conventional_requests += 1
+        hit, latency, writeback = self.partition.access(address, is_write, size_bytes, now_cycle)
+        writebacks = ()
+        if writeback is not None:
+            writebacks = (writeback,)
+            stats.writebacks += 1
         if hit:
-            self.stats.conventional_hits += 1
-            return AccessOutcome(
-                hit_level="llc", latency_cycles=latency, writebacks=writebacks
-            )
-        dram_latency = self._dram(request, now_cycle + latency)
-        return AccessOutcome(
-            hit_level="dram",
-            latency_cycles=latency + dram_latency,
-            writebacks=writebacks,
-        )
-
-    def _predict(self, set_index: int, global_set: int, tag: int, address: int) -> bool:
-        """Predict whether the extended LLC holds ``address`` (True = hit)."""
-        if self.predictor_mode == PredictorMode.NONE:
-            return True  # always forward: equivalent to predicting a hit
-        if self.predictor_mode == PredictorMode.PERFECT:
-            assert self.extended_llc is not None
-            return self.extended_llc.resident(global_set, address)
-        return self.predictor.predict(set_index, tag)
-
-    def _global_set(self, set_index: int) -> int:
-        """Map this partition's local extended set index onto the global extended LLC.
-
-        Each partition's controller owns a disjoint slice of the extended LLC
-        sets so that the full extended capacity is used across partitions.
-        """
-        return self._global_set_base + set_index
+            stats.conventional_hits += 1
+            return AccessOutcome("llc", latency, writebacks)
+        stats.dram_accesses += 1
+        dram_latency = self._dram_access(address, size_bytes, now_cycle + latency)
+        return AccessOutcome("dram", latency + dram_latency, writebacks)
 
     def _access_extended(
-        self, request: MemoryRequest, now_cycle: float, set_index: int
+        self, address: int, is_write: bool, size_bytes: int, now_cycle: float, set_index: int
     ) -> AccessOutcome:
-        assert self.extended_llc is not None
-        self.stats.extended_requests += 1
-        tag = request.address // self.config.block_size
-        global_set = self._global_set(set_index)
+        extended_llc = self.extended_llc
+        stats = self.stats
+        stats.extended_requests += 1
+        tag = address // self.config.block_size
+        global_set = self._global_set_base + set_index
+        mode = self.predictor_mode
 
         # The request is buffered by the query logic; the controller's own
         # pipeline latency is folded into the timing model's dispatch term.
-        self.query_logic.admit(request)
+        query_logic = self.query_logic
+        query_logic.admit(MemoryRequest(
+            address,
+            AccessType.STORE if is_write else AccessType.LOAD,
+            size_bytes=size_bytes,
+        ))
 
-        predicted_hit = self._predict(set_index, global_set, tag, request.address)
-        actual_resident = self.extended_llc.resident(global_set, request.address)
-        if self.predictor_mode == PredictorMode.BLOOM:
-            self.predictor.record_outcome(predicted_hit, actual_resident)
+        # Predict whether the extended LLC holds the block (True = hit).
+        if mode is PredictorMode.BLOOM:
+            predicted_hit = self.predictor.predict(set_index, tag)
+        elif mode is PredictorMode.PERFECT:
+            predicted_hit = extended_llc.resident(global_set, address)
+        else:
+            predicted_hit = True  # always forward: equivalent to predicting a hit
 
         if not predicted_hit:
             # Predicted miss: go straight to DRAM (as fast as a conventional miss),
             # then install the block in the extended LLC.
-            self.stats.predicted_misses += 1
-            self.stats.extended_misses += 1
-            self.query_logic.request_queue.dequeue()
-            dram_latency = self._dram(request, now_cycle)
-            fill = self.extended_llc.fill(global_set, request.address, dirty=request.is_write)
+            if mode is PredictorMode.BLOOM:
+                self.predictor.record_outcome(False, extended_llc.resident(global_set, address))
+            stats.predicted_misses += 1
+            stats.extended_misses += 1
+            query_logic.request_queue.dequeue()
+            stats.dram_accesses += 1
+            dram_latency = self._dram_access(address, size_bytes, now_cycle)
+            fill = extended_llc.fill(global_set, address, dirty=is_write)
             self.predictor.record_access(set_index, tag)
-            writebacks = list(fill.writebacks)
-            if writebacks:
-                self.stats.writebacks += len(writebacks)
-            latency = self.partition.config.hit_latency_cycles * 0.25 + dram_latency
+            writebacks = tuple(fill.writebacks)
+            stats.writebacks += len(writebacks)
             return AccessOutcome(
-                hit_level="dram",
-                latency_cycles=latency,
-                predicted_miss=True,
-                writebacks=writebacks,
-                store_kind=fill.store_kind,
+                "dram",
+                self._predicted_miss_cycles + dram_latency,
+                writebacks,
+                True,
+                False,
+                fill.store_kind,
             )
 
         # Predicted hit: pay the NoC round trip to the cache-mode SM and run
-        # the extended LLC kernel's lookup there.
-        dispatched = self.query_logic.dispatch(set_index % self.query_logic.warp_status.num_rows)
-        noc_latency = self._noc(request.size_bytes, now_cycle)
-        result = self.extended_llc.access(global_set, request.address, is_write=request.is_write)
-        service_latency = self._ns_to_cycles(result.service_latency_ns)
+        # the extended LLC kernel's lookup there.  The lookup finds exactly
+        # the blocks resident before it, so its outcome is the ground truth.
+        row = set_index % query_logic.warp_status.num_rows
+        dispatched = query_logic.dispatch(row)
+        noc_latency = self._noc_round_trip(size_bytes, now_cycle)
+        result = extended_llc.access(global_set, address, is_write=is_write)
+        if mode is PredictorMode.BLOOM:
+            self.predictor.record_outcome(True, result.hit)
+        service_latency = result.service_latency_ns * self.core_clock_ghz
         if dispatched is not None:
-            self.query_logic.complete(set_index % self.query_logic.warp_status.num_rows, result.hit)
+            query_logic.complete(row, result.hit)
 
         if result.hit:
-            self.stats.extended_hits += 1
+            stats.extended_hits += 1
             self.predictor.record_access(set_index, tag)
             return AccessOutcome(
-                hit_level="extended_llc",
-                latency_cycles=noc_latency + service_latency,
-                served_by_extended_llc=True,
-                store_kind=result.store_kind,
+                "extended_llc", noc_latency + service_latency, (), False, False, result.store_kind
             )
 
         # False positive (or no-prediction miss): the round trip was wasted;
         # fetch from DRAM and fill the extended LLC.
-        self.stats.extended_misses += 1
-        if self.predictor_mode != PredictorMode.PERFECT:
-            self.stats.false_positive_trips += 1
-        dram_latency = self._dram(request, now_cycle + noc_latency + service_latency)
-        fill = self.extended_llc.fill(global_set, request.address, dirty=request.is_write)
+        stats.extended_misses += 1
+        if mode is not PredictorMode.PERFECT:
+            stats.false_positive_trips += 1
+        stats.dram_accesses += 1
+        dram_latency = self._dram_access(address, size_bytes, now_cycle + noc_latency + service_latency)
+        fill = extended_llc.fill(global_set, address, dirty=is_write)
         self.predictor.record_access(set_index, tag)
-        writebacks = list(fill.writebacks)
-        if writebacks:
-            self.stats.writebacks += len(writebacks)
+        writebacks = tuple(fill.writebacks)
+        stats.writebacks += len(writebacks)
         return AccessOutcome(
-            hit_level="dram",
-            latency_cycles=noc_latency + service_latency + dram_latency,
-            false_positive=True,
-            writebacks=writebacks,
-            store_kind=fill.store_kind,
+            "dram",
+            noc_latency + service_latency + dram_latency,
+            writebacks,
+            False,
+            True,
+            fill.store_kind,
         )
 
     def reset(self) -> None:

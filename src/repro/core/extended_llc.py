@@ -17,8 +17,8 @@ Two classes model the software half of Morpheus:
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, NamedTuple, Tuple
 
 from repro.core.address_separation import PROPORTIONAL_SPLIT_PERIOD, proportional_slots
 from repro.core.compression import CompressionLevel, effective_capacity_factor
@@ -58,14 +58,13 @@ class Compressibility:
         return CompressionLevel.UNCOMPRESSED
 
 
-@dataclass
-class ExtendedAccessResult:
+class ExtendedAccessResult(NamedTuple):
     """Outcome of one extended LLC access on a cache-mode SM."""
 
     hit: bool
     store_kind: str
     service_latency_ns: float
-    writebacks: List[int] = field(default_factory=list)
+    writebacks: Tuple[int, ...] = ()    # dirty victims' block addresses
     compression: CompressionLevel = CompressionLevel.UNCOMPRESSED
 
 
@@ -171,9 +170,6 @@ class ExtendedLLCKernel:
         """Pick the store responsible for ``address`` (proportional split, §4.2 task 3)."""
         return self._store_slots[address // self._block_size % PROPORTIONAL_SPLIT_PERIOD]
 
-    def _local_set(self, store: ExtendedLLCStore, set_index: int) -> int:
-        return set_index % store.num_warps
-
     def access(self, set_index: int, address: int, is_write: bool = False) -> ExtendedAccessResult:
         """Serve one extended LLC request on this SM.
 
@@ -185,23 +181,17 @@ class ExtendedLLCKernel:
         (:meth:`fill`).
         """
         store_kind, store = self._store_for(address)
-        local_set = self._local_set(store, set_index)
+        local_set = set_index % store.num_warps
         tag = address // self._block_size
         hit = store.access(local_set, tag, is_write=is_write)
 
+        # Stores without compression only ever hold uncompressed blocks.
         compression = CompressionLevel.UNCOMPRESSED
-        if hit:
-            meta = store.set_for(local_set).metadata(tag)
-            if meta is not None:
-                compression = meta.compression
-        compressed = store.compression_enabled and compression != CompressionLevel.UNCOMPRESSED
-
-        latency = self._latency_ns[store_kind, compressed]
+        if hit and store.compression_enabled:
+            compression = store.sets[local_set].metadata(tag).compression
+        compressed = compression is not CompressionLevel.UNCOMPRESSED
         return ExtendedAccessResult(
-            hit=hit,
-            store_kind=store_kind,
-            service_latency_ns=latency,
-            compression=compression,
+            hit, store_kind, self._latency_ns[store_kind, compressed], (), compression
         )
 
     def fill(self, set_index: int, address: int, dirty: bool = False) -> ExtendedAccessResult:
@@ -212,7 +202,7 @@ class ExtendedLLCKernel:
         as writeback addresses.
         """
         store_kind, store = self._store_for(address)
-        local_set = self._local_set(store, set_index)
+        local_set = set_index % store.num_warps
         tag = address // self._block_size
 
         level = CompressionLevel.UNCOMPRESSED
@@ -220,24 +210,21 @@ class ExtendedLLCKernel:
             level = self.compressibility.level_for_tag(tag)
 
         evicted = store.fill(local_set, tag, dirty=dirty, compression=level)
-        writebacks = [victim_tag * self.config.block_size for victim_tag, was_dirty in evicted if was_dirty]
+        writebacks = ()
+        if evicted:
+            writebacks = tuple(
+                victim_tag * self._block_size for victim_tag, was_dirty in evicted if was_dirty
+            )
 
-        latency = self._latency_ns[store_kind, level != CompressionLevel.UNCOMPRESSED]
+        latency = self._latency_ns[store_kind, level is not CompressionLevel.UNCOMPRESSED]
         if self.config.enable_compression and store.supports_compression:
             latency += self.config.timing.compression_overhead_ns
-        return ExtendedAccessResult(
-            hit=False,
-            store_kind=store_kind,
-            service_latency_ns=latency,
-            writebacks=writebacks,
-            compression=level,
-        )
+        return ExtendedAccessResult(False, store_kind, latency, writebacks, level)
 
     def resident(self, set_index: int, address: int) -> bool:
         """Whether the block containing ``address`` currently resides on this SM."""
         _, store = self._store_for(address)
-        local_set = self._local_set(store, set_index)
-        return store.set_for(local_set).lookup(address // self._block_size)
+        return store.set_for(set_index % store.num_warps).lookup(address // self._block_size)
 
     def reset(self) -> None:
         """Drop all cached blocks."""

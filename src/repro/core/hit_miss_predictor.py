@@ -26,7 +26,7 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import Dict, Set
 
-from repro.core.bloom_filter import BloomFilter
+from repro.core.bloom_filter import BloomFilter, bloom_mask
 
 
 @dataclass
@@ -66,27 +66,23 @@ class _SetPredictor:
         self.bf2 = BloomFilter(filter_bytes, num_hashes)
         # Tags known to be in BF2 since its last clear; len() is the paper's n.
         self._bf2_tags: Set[int] = set()
-        self.swaps = 0
 
-    def predict_hit(self, tag: int) -> bool:
-        """Predict whether ``tag`` currently resides in the set (query BF1)."""
-        return self.bf1.query(tag)
-
-    def record_access(self, tag: int) -> None:
-        """Update both filters on an access (insert or reuse) of ``tag``.
+    def record_access(self, tag: int, mask: int) -> bool:
+        """Update both filters on an access (insert or reuse) of ``tag``, whose mask is ``mask``.
 
         Maintains the two invariants and performs the BF1 <- BF2 swap when n
-        reaches the associativity (flow diagram of Figure 6(b)).
+        reaches the associativity (flow diagram of Figure 6(b)).  Returns
+        whether the filters swapped.
         """
-        mask = self.bf1.mask(tag)
         self.bf1.insert_mask(mask)
         self.bf2.insert_mask(mask)
         self._bf2_tags.add(tag)
-        if len(self._bf2_tags) >= self.associativity:
-            self.bf1.clear()
-            self.bf1, self.bf2 = self.bf2, self.bf1
-            self._bf2_tags.clear()
-            self.swaps += 1
+        if len(self._bf2_tags) < self.associativity:
+            return False
+        self.bf1.clear()
+        self.bf1, self.bf2 = self.bf2, self.bf1
+        self._bf2_tags.clear()
+        return True
 
 
 class HitMissPredictor:
@@ -116,6 +112,10 @@ class HitMissPredictor:
         self.filter_bytes = filter_bytes
         self._sets: Dict[int, _SetPredictor] = {}
         self._num_hashes = num_hashes
+        self._num_bits = filter_bytes * 8
+        # Every filter here shares one size and hash count, so a tag's mask
+        # is computed once and reused by every later prediction and update.
+        self._masks: Dict[int, int] = {}
         self.stats = PredictorStats()
 
     def _set_predictor(self, set_index: int) -> _SetPredictor:
@@ -127,15 +127,23 @@ class HitMissPredictor:
             self._sets[set_index] = predictor
         return predictor
 
+    def _mask(self, tag: int) -> int:
+        mask = self._masks.get(tag)
+        if mask is None:
+            mask = self._masks[tag] = bloom_mask(tag, self._num_bits, self._num_hashes)
+        return mask
+
     def predict(self, set_index: int, tag: int) -> bool:
-        """Predict a hit (True) or miss (False) for ``tag`` in ``set_index``."""
-        predictor = self._set_predictor(set_index)
-        hit = predictor.predict_hit(tag)
-        self.stats.predictions += 1
+        """Predict a hit (True) or miss (False) for ``tag`` in ``set_index`` (queries BF1)."""
+        # Only validated set indexes are ever stored, so a hit skips the check.
+        predictor = self._sets.get(set_index) or self._set_predictor(set_index)
+        hit = predictor.bf1.query_mask(self._mask(tag))
+        stats = self.stats
+        stats.predictions += 1
         if hit:
-            self.stats.predicted_hits += 1
+            stats.predicted_hits += 1
         else:
-            self.stats.predicted_misses += 1
+            stats.predicted_misses += 1
         return hit
 
     def record_outcome(self, predicted_hit: bool, actual_hit: bool) -> None:
@@ -147,10 +155,8 @@ class HitMissPredictor:
 
     def record_access(self, set_index: int, tag: int) -> None:
         """Inform the predictor that ``tag`` was inserted into / reused in its set."""
-        predictor = self._set_predictor(set_index)
-        before = predictor.swaps
-        predictor.record_access(tag)
-        if predictor.swaps != before:
+        predictor = self._sets.get(set_index) or self._set_predictor(set_index)
+        if predictor.record_access(tag, self._mask(tag)):
             self.stats.swaps += 1
 
     def storage_bytes(self) -> int:

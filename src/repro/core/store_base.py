@@ -74,6 +74,8 @@ class ExtendedLLCSet:
         self.compression_enabled = compression_enabled
         self.block_size = block_size
         self.physical_bytes = base_ways * block_size
+        # Resident blocks by tag in LRU-counter order: every counter update
+        # moves the block to the end, so the first one is the LRU victim.
         self._blocks: Dict[int, ExtendedBlockMetadata] = {}
         self._lru_clock = 0
         # Physical bytes of the resident blocks, kept up to date by every
@@ -102,9 +104,12 @@ class ExtendedLLCSet:
 
     def access(self, tag: int, is_write: bool = False) -> bool:
         """Look up ``tag``; on a hit update LRU (and dirty state for writes)."""
-        meta = self._blocks.get(tag)
+        blocks = self._blocks
+        meta = blocks.get(tag)
         if meta is None or not meta.valid:
             return False
+        del blocks[tag]
+        blocks[tag] = meta
         self._lru_clock += 1
         meta.lru_counter = self._lru_clock
         if is_write:
@@ -124,8 +129,10 @@ class ExtendedLLCSet:
         Returns a list of ``(victim_tag, was_dirty)`` pairs for every evicted
         block (empty when nothing had to be evicted).
         """
-        if tag in self._blocks:
-            meta = self._blocks[tag]
+        blocks = self._blocks
+        meta = blocks.pop(tag, None)
+        if meta is not None:
+            blocks[tag] = meta
             meta.valid = True
             meta.dirty = meta.dirty or dirty
             self._stored_bytes += self._bytes_for(compression) - self._bytes_for(meta.compression)
@@ -136,15 +143,15 @@ class ExtendedLLCSet:
 
         needed = self._bytes_for(compression)
         evicted: List[Tuple[int, bool]] = []
-        while self._stored_bytes + needed > self.physical_bytes and self._blocks:
-            victim_tag = min(self._blocks, key=lambda t: self._blocks[t].lru_counter)
-            victim = self._blocks.pop(victim_tag)
+        while self._stored_bytes + needed > self.physical_bytes and blocks:
+            victim_tag = next(iter(blocks))
+            victim = blocks.pop(victim_tag)
             self._stored_bytes -= self._bytes_for(victim.compression)
             evicted.append((victim_tag, victim.dirty))
 
         self._lru_clock += 1
         self._stored_bytes += needed
-        self._blocks[tag] = ExtendedBlockMetadata(
+        blocks[tag] = ExtendedBlockMetadata(
             tag=tag,
             valid=True,
             dirty=dirty,
@@ -239,9 +246,11 @@ class ExtendedLLCStore:
         if not self.compression_enabled:
             compression = CompressionLevel.UNCOMPRESSED
         evicted = self.set_for(set_index).fill(tag, dirty=dirty, compression=compression)
-        self.stats.fills += 1
-        self.stats.evictions += len(evicted)
-        self.stats.dirty_evictions += sum(1 for _, was_dirty in evicted if was_dirty)
+        stats = self.stats
+        stats.fills += 1
+        if evicted:
+            stats.evictions += len(evicted)
+            stats.dirty_evictions += sum(1 for _, was_dirty in evicted if was_dirty)
         return evicted
 
     def reset(self) -> None:

@@ -1,18 +1,24 @@
 """The SM <-> LLC-partition interconnection network.
 
 The network connects every SM to every LLC partition.  We model it as one
-:class:`~repro.interconnect.crossbar.CrossbarSwitch` per LLC partition (the
-partition side is the bandwidth bottleneck in GPUs) plus a load-dependent
-latency term, and we track the statistics the paper reports in §7.4:
-injection rate, throughput, and average latency.
+crossbar port per LLC partition (the partition side is the bandwidth
+bottleneck in GPUs), each a pair of directed links — request and response —
+with a bandwidth account, plus a load-dependent latency term, and we track
+the statistics the paper reports in §7.4: injection rate, throughput, and
+average latency.
+
+The Morpheus evaluation cares about three interconnect effects: the
+baseline traversal latency between an SM and an LLC partition, the *extra*
+round trip that extended-LLC requests pay (Morpheus controller -> cache-mode
+SM -> Morpheus controller, Figure 5), and congestion: Morpheus roughly
+doubles NoC load (§7.4), inflating average latency by a few percent without
+saturating the network.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
-
-from repro.interconnect.crossbar import CrossbarSwitch
+from typing import List
 
 
 @dataclass(frozen=True)
@@ -70,21 +76,19 @@ class InterconnectNetwork:
 
     def __init__(self, config: InterconnectConfig | None = None) -> None:
         self.config = config or InterconnectConfig()
-        self._ports: List[CrossbarSwitch] = [
-            CrossbarSwitch(self.config.bytes_per_cycle_per_port, self.config.one_way_latency_cycles)
-            for _ in range(self.config.num_partitions)
-        ]
+        ports = self.config.num_partitions
+        # Per-port link state, request (SM -> partition) and response
+        # directions: the cycle the link frees up and the bytes it has carried.
+        self._request_busy_until: List[float] = [0.0] * ports
+        self._request_bytes: List[int] = [0] * ports
+        self._response_busy_until: List[float] = [0.0] * ports
+        self._response_bytes: List[int] = [0] * ports
+        self._bytes_per_cycle = self.config.bytes_per_cycle_per_port
+        self._base_latency = self.config.one_way_latency_cycles
+        self._knee = self.config.congestion_knee
+        self._knee_headroom = 1.0 - self.config.congestion_knee
+        self._max_penalty = self.config.max_congestion_penalty
         self.stats = NetworkStats()
-
-    def _congestion_penalty(self, port: CrossbarSwitch, elapsed_cycles: float) -> float:
-        """Latency multiplier (>= 1.0) from port utilization beyond the knee."""
-        if elapsed_cycles <= 0:
-            return 1.0
-        utilization = port.request_link.utilization(elapsed_cycles)
-        if utilization <= self.config.congestion_knee:
-            return 1.0
-        over = (utilization - self.config.congestion_knee) / (1.0 - self.config.congestion_knee)
-        return 1.0 + over * self.config.max_congestion_penalty
 
     def traverse(
         self,
@@ -97,28 +101,56 @@ class InterconnectNetwork:
         """Send a request to ``partition_id`` and its response back.
 
         Returns the combined round-trip latency in cycles.  ``elapsed_cycles``
-        (total simulated time so far) feeds the congestion model.
+        (total simulated time so far) feeds the congestion model: beyond the
+        knee, the request link's utilization over ``elapsed_cycles`` scales
+        both directions' latency (queueing + traversal + serialization).
         """
         if not 0 <= partition_id < self.config.num_partitions:
             raise ValueError(f"partition_id {partition_id} out of range")
-        port = self._ports[partition_id]
-        penalty = self._congestion_penalty(port, elapsed_cycles)
-        request_latency = port.send_request(size_bytes, now_cycle) * penalty
-        response_latency = port.send_response(response_bytes, now_cycle + request_latency) * penalty
+        if size_bytes <= 0 or response_bytes <= 0:
+            raise ValueError("size_bytes must be positive")
+        bytes_per_cycle = self._bytes_per_cycle
+        penalty = 1.0
+        if elapsed_cycles > 0:
+            utilization = self._request_bytes[partition_id] / (bytes_per_cycle * elapsed_cycles)
+            if utilization > 1.0:
+                utilization = 1.0
+            if utilization > self._knee:
+                over = (utilization - self._knee) / self._knee_headroom
+                penalty = 1.0 + over * self._max_penalty
+
+        busy_until = self._request_busy_until[partition_id]
+        start = busy_until if busy_until > now_cycle else now_cycle
+        serialization = size_bytes / bytes_per_cycle
+        self._request_busy_until[partition_id] = start + serialization
+        self._request_bytes[partition_id] += size_bytes
+        request_latency = (start - now_cycle + self._base_latency + serialization) * penalty
+
+        arrival = now_cycle + request_latency
+        busy_until = self._response_busy_until[partition_id]
+        start = busy_until if busy_until > arrival else arrival
+        serialization = response_bytes / bytes_per_cycle
+        self._response_busy_until[partition_id] = start + serialization
+        self._response_bytes[partition_id] += response_bytes
+        response_latency = (start - arrival + self._base_latency + serialization) * penalty
 
         total = request_latency + response_latency
-        self.stats.flits_injected += 2
-        self.stats.bytes_injected += size_bytes + response_bytes
-        self.stats.total_latency_cycles += total
-        self.stats.traversals += 1
+        stats = self.stats
+        stats.flits_injected += 2
+        stats.bytes_injected += size_bytes + response_bytes
+        stats.total_latency_cycles += total
+        stats.traversals += 1
         return total
 
     def total_load_bytes(self) -> int:
         """Total payload carried by the network in both directions."""
-        return sum(port.total_bytes() for port in self._ports)
+        return sum(self._request_bytes) + sum(self._response_bytes)
 
     def reset(self) -> None:
         """Clear all ports and statistics."""
-        for port in self._ports:
-            port.reset()
+        ports = self.config.num_partitions
+        self._request_busy_until = [0.0] * ports
+        self._request_bytes = [0] * ports
+        self._response_busy_until = [0.0] * ports
+        self._response_bytes = [0] * ports
         self.stats = NetworkStats()

@@ -15,10 +15,8 @@ is modelled as a hit probability that shaves a fraction of the core latency.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List
-
-from repro.memory.request import MemoryRequest
 
 
 @dataclass(frozen=True)
@@ -79,15 +77,6 @@ class DRAMConfig:
         )
 
 
-@dataclass
-class _ChannelState:
-    """Bookkeeping for one DRAM channel."""
-
-    busy_until_cycle: float = 0.0
-    bytes_served: int = 0
-    accesses: int = 0
-
-
 class DRAMModel:
     """Latency/bandwidth model of the off-chip DRAM.
 
@@ -100,46 +89,47 @@ class DRAMModel:
 
     def __init__(self, config: DRAMConfig | None = None) -> None:
         self.config = config or DRAMConfig()
-        self._channels: List[_ChannelState] = [
-            _ChannelState() for _ in range(self.config.num_channels)
-        ]
+        channels = self.config.num_channels
+        # Per-channel state: the cycle the channel frees up and the accesses served.
+        self._busy_until: List[float] = [0.0] * channels
+        self._accesses: List[int] = [0] * channels
         self.total_accesses = 0
         self.total_bytes = 0
         self._row_toggle = 0
+        self._block_size = self.config.block_size
+        self._bytes_per_cycle = self.config.bytes_per_cycle_per_channel
+        self._row_hit_threshold = int(round(self.config.row_buffer_hit_rate * 100))
 
-    def channel_of(self, address: int) -> int:
-        """Channel serving ``address`` (block-interleaved)."""
-        return (address // self.config.block_size) % self.config.num_channels
-
-    def access(self, request: MemoryRequest, now_cycle: float) -> float:
-        """Serve ``request`` starting no earlier than ``now_cycle``.
+    def access(self, address: int, size_bytes: int, now_cycle: float) -> float:
+        """Serve ``size_bytes`` at ``address`` starting no earlier than ``now_cycle``.
 
         Returns the latency in cycles from ``now_cycle`` until the data is
         available (including any queueing delay on the channel).
         """
-        channel_id = self.channel_of(request.address)
-        channel = self._channels[channel_id]
-
-        start = max(now_cycle, channel.busy_until_cycle)
-        queue_delay = start - now_cycle
+        if address < 0:
+            raise ValueError("address must be non-negative")
+        if size_bytes <= 0:
+            raise ValueError("size_bytes must be positive")
+        # Channels are block-interleaved.
+        channel = address // self._block_size % self.config.num_channels
+        busy_until = self._busy_until[channel]
+        start = busy_until if busy_until > now_cycle else now_cycle
 
         core_latency = self.config.access_latency_cycles
         # Deterministic row-buffer locality: a fixed fraction of accesses hit
         # the open row and pay a reduced latency.
         self._row_toggle += 1
-        hit_threshold = int(round(self.config.row_buffer_hit_rate * 100))
-        if (self._row_toggle * 37) % 100 < hit_threshold:
+        if (self._row_toggle * 37) % 100 < self._row_hit_threshold:
             core_latency *= self.config.row_buffer_hit_latency_factor
 
-        transfer_cycles = request.size_bytes / self.config.bytes_per_cycle_per_channel
-        channel.busy_until_cycle = start + transfer_cycles
-        channel.bytes_served += request.size_bytes
-        channel.accesses += 1
+        transfer_cycles = size_bytes / self._bytes_per_cycle
+        self._busy_until[channel] = start + transfer_cycles
+        self._accesses[channel] += 1
 
         self.total_accesses += 1
-        self.total_bytes += request.size_bytes
+        self.total_bytes += size_bytes
 
-        return queue_delay + core_latency + transfer_cycles
+        return start - now_cycle + core_latency + transfer_cycles
 
     def bandwidth_utilization(self, elapsed_cycles: float) -> float:
         """Fraction of peak bandwidth used over ``elapsed_cycles``."""
@@ -156,14 +146,13 @@ class DRAMModel:
 
     def per_channel_accesses(self) -> Dict[int, int]:
         """Accesses served by each channel."""
-        return {i: ch.accesses for i, ch in enumerate(self._channels)}
+        return dict(enumerate(self._accesses))
 
     def reset(self) -> None:
         """Clear all channel state and counters."""
-        for channel in self._channels:
-            channel.busy_until_cycle = 0.0
-            channel.bytes_served = 0
-            channel.accesses = 0
+        channels = self.config.num_channels
+        self._busy_until = [0.0] * channels
+        self._accesses = [0] * channels
         self.total_accesses = 0
         self.total_bytes = 0
         self._row_toggle = 0

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.memory.address_mapping import AddressMapping
-from repro.memory.cache import CacheStats, SetAssociativeCache
-from repro.memory.request import MemoryRequest
+from repro.memory.cache import CacheStats
 
 
 @dataclass(frozen=True)
@@ -74,43 +73,84 @@ class LLCConfig:
 
 
 class LLCPartition:
-    """One LLC partition: a cache slice and a bandwidth account."""
+    """One LLC partition: a write-allocate LRU cache slice and a bandwidth account.
+
+    Each set maps the tag of every resident block to its dirty bit, least
+    recently used first, so a hit moves the tag to the end and a fill into
+    a full set evicts the first one.
+    """
 
     def __init__(self, partition_id: int, config: LLCConfig) -> None:
+        block_size = config.block_size
+        if block_size <= 0 or block_size & (block_size - 1):
+            raise ValueError("block_size must be a positive power of two")
+        if config.associativity <= 0:
+            raise ValueError("associativity must be positive")
         self.partition_id = partition_id
         self.config = config
-        capacity = config.partition_capacity_bytes
-        granule = config.block_size * config.associativity
-        capacity = max(granule, (capacity // granule) * granule)
-        self.cache = SetAssociativeCache(
-            capacity_bytes=capacity,
-            block_size=config.block_size,
-            associativity=config.associativity,
-            name=f"llc-partition-{partition_id}",
-        )
+        granule = block_size * config.associativity
+        self.capacity_bytes = max(granule, (config.partition_capacity_bytes // granule) * granule)
+        self.num_sets = self.capacity_bytes // granule
+        self._sets: List[Dict[int, bool]] = [{} for _ in range(self.num_sets)]
+        self.stats = CacheStats()
+        self._block_size = block_size
+        self._tag_span = block_size * self.num_sets
+        self._ways = config.associativity
+        self._hit_latency = config.hit_latency_cycles
+        self._bytes_per_cycle = config.bytes_per_cycle_per_partition
         self._busy_until_cycle = 0.0
         self.bytes_served = 0
         self.requests_served = 0
 
-    def access(self, request: MemoryRequest, now_cycle: float) -> Tuple[bool, float, Optional[int]]:
-        """Look up ``request`` in this partition's slice.
+    def access(
+        self, address: int, is_write: bool, size_bytes: int, now_cycle: float
+    ) -> Tuple[bool, float, Optional[int]]:
+        """Look up the block at ``address`` in this partition's slice.
 
         Returns ``(hit, latency_cycles, writeback_address)`` where latency
         includes the partition queueing delay and ``writeback_address`` is a
-        dirty victim needing writeback to DRAM (or ``None``).
+        dirty victim needing writeback to DRAM (or ``None``).  A miss fills
+        the block (dirty for writes); a write hit marks it dirty.
         """
-        start = max(now_cycle, self._busy_until_cycle)
-        queue_delay = start - now_cycle
+        if address < 0:
+            raise ValueError("address must be non-negative")
+        if size_bytes <= 0:
+            raise ValueError("size_bytes must be positive")
+        busy_until = self._busy_until_cycle
+        start = busy_until if busy_until > now_cycle else now_cycle
 
-        hit, writeback = self.cache.access(request.address, is_write=request.is_write)
+        set_index = address // self._block_size % self.num_sets
+        blocks = self._sets[set_index]
+        tag = address // self._tag_span
+        stats = self.stats
+        if is_write:
+            stats.writes += 1
+        writeback = None
+        dirty = blocks.pop(tag, None)
+        if dirty is not None:
+            blocks[tag] = dirty or is_write
+            stats.hits += 1
+            hit = True
+        else:
+            stats.misses += 1
+            hit = False
+            if len(blocks) >= self._ways:
+                victim = next(iter(blocks))
+                stats.evictions += 1
+                if blocks.pop(victim):
+                    stats.dirty_evictions += 1
+                    writeback = (victim * self.num_sets + set_index) * self._block_size
+            blocks[tag] = is_write
+            stats.fills += 1
 
-        service_cycles = request.size_bytes / self.config.bytes_per_cycle_per_partition
-        self._busy_until_cycle = start + service_cycles
-        self.bytes_served += request.size_bytes
+        self._busy_until_cycle = start + size_bytes / self._bytes_per_cycle
+        self.bytes_served += size_bytes
         self.requests_served += 1
+        return hit, start - now_cycle + self._hit_latency, writeback
 
-        latency = queue_delay + self.config.hit_latency_cycles
-        return hit, latency, writeback
+    def occupancy(self) -> int:
+        """Number of valid blocks resident in the slice."""
+        return sum(len(blocks) for blocks in self._sets)
 
     def throughput_gbps(self, elapsed_cycles: float) -> float:
         """Achieved throughput of this partition in GB/s over ``elapsed_cycles``."""
@@ -121,8 +161,8 @@ class LLCPartition:
 
     def reset(self) -> None:
         """Clear contents and counters."""
-        self.cache.flush()
-        self.cache.reset_stats()
+        self._sets = [{} for _ in range(self.num_sets)]
+        self.stats = CacheStats()
         self._busy_until_cycle = 0.0
         self.bytes_served = 0
         self.requests_served = 0
@@ -144,20 +184,22 @@ class BankedLLC:
         """Partition responsible for ``address``."""
         return self.partitions[self.mapping.partition_of(address)]
 
-    def access(self, request: MemoryRequest, now_cycle: float = 0.0) -> Tuple[bool, float, Optional[int]]:
-        """Route ``request`` to its partition and access the slice there."""
-        return self.partition_for(request.address).access(request, now_cycle)
+    def access(
+        self, address: int, is_write: bool, size_bytes: int, now_cycle: float = 0.0
+    ) -> Tuple[bool, float, Optional[int]]:
+        """Route the access to its partition and look it up in the slice there."""
+        return self.partition_for(address).access(address, is_write, size_bytes, now_cycle)
 
     def aggregate_stats(self) -> CacheStats:
         """Combined hit/miss statistics across all partitions."""
         stats = CacheStats()
         for partition in self.partitions:
-            stats = stats.merge(partition.cache.stats)
+            stats = stats.merge(partition.stats)
         return stats
 
     def total_capacity_bytes(self) -> int:
         """Actual modelled capacity (sum of partition slices)."""
-        return sum(p.cache.capacity_bytes for p in self.partitions)
+        return sum(p.capacity_bytes for p in self.partitions)
 
     def throughput_gbps(self, elapsed_cycles: float) -> float:
         """Aggregate achieved LLC throughput in GB/s."""

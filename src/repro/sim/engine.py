@@ -14,13 +14,12 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.core.config import MorpheusConfig
-from repro.core.controller import AccessOutcome, MorpheusController
+from repro.core.controller import MorpheusController
 from repro.core.extended_llc import Compressibility, ExtendedLLC
 from repro.gpu.config import GPUConfig
 from repro.interconnect.network import InterconnectNetwork
 from repro.memory.dram import DRAMModel
 from repro.memory.llc import BankedLLC
-from repro.memory.request import MemoryRequest
 from repro.workloads.trace import MemoryTrace
 
 
@@ -157,15 +156,14 @@ class MemoryHierarchyEngine:
                 for partition in self.llc.partitions
             ]
         self.counters = HierarchyCounters()
-        self._now = 0.0
         self._start_cycle = 0.0
 
     # -- callbacks injected into the Morpheus controllers --------------------------
 
-    def _dram_access(self, request: MemoryRequest, at_cycle: float) -> float:
-        latency = self.dram.access(request, at_cycle)
+    def _dram_access(self, address: int, size_bytes: int, at_cycle: float) -> float:
+        latency = self.dram.access(address, size_bytes, at_cycle)
         self.counters.dram_accesses += 1
-        self.counters.dram_bytes += request.size_bytes
+        self.counters.dram_bytes += size_bytes
         return latency
 
     def _extended_noc_round_trip(self, size_bytes: int, at_cycle: float) -> float:
@@ -173,7 +171,7 @@ class MemoryHierarchyEngine:
         # port of the SM-side partition pseudo-randomly by size/time.
         partition_id = int(at_cycle) % self.gpu.interconnect.num_partitions
         latency = self.network.traverse(
-            partition_id, size_bytes, at_cycle, elapsed_cycles=max(1.0, self._now)
+            partition_id, size_bytes, at_cycle, elapsed_cycles=max(1.0, at_cycle)
         )
         self.counters.noc_bytes += size_bytes + self.gpu.block_size
         return latency
@@ -181,77 +179,134 @@ class MemoryHierarchyEngine:
     # -- trace replay ------------------------------------------------------------------
 
     def run(self, trace: MemoryTrace) -> HierarchyCounters:
-        """Replay ``trace`` and return the accumulated counters."""
-        block = self.gpu.block_size
-        for index, entry in enumerate(trace):
-            # Time continues across run() calls so warm-up and measurement
-            # share one continuous timeline (queue occupancies stay valid).
-            now = self._start_cycle + index * self.request_interval_cycles
-            self._now = now
-            request = entry.to_request(issue_cycle=int(now), block_size=block)
+        """Replay ``trace`` and return the accumulated counters.
 
-            # The SM -> LLC partition hop (all LLC traffic pays this).
-            partition_id = self.llc.mapping.partition_of(request.address)
-            noc_latency = self.network.traverse(
-                partition_id, 32, now, response_bytes=block, elapsed_cycles=max(1.0, now)
-            )
-            self.counters.noc_bytes += 32 + block
-
-            if self.controllers:
-                outcome = self.controllers[partition_id].access(request, now)
-                self._account_morpheus(outcome, request, noc_latency)
-            else:
-                self._access_baseline(request, partition_id, now, noc_latency)
-
-            self.counters.llc_accesses += 1
-        self._start_cycle += len(trace) * self.request_interval_cycles
-        self.counters.elapsed_cycles = max(
-            1.0, self.counters.elapsed_cycles + len(trace) * self.request_interval_cycles
-        )
-        return self.counters
-
-    def _access_baseline(
-        self, request: MemoryRequest, partition_id: int, now: float, noc_latency: float
-    ) -> None:
-        hit, latency, writeback = self.llc.partitions[partition_id].access(request, now)
-        total = noc_latency + latency
-        if hit:
-            self.counters.conventional_hits += 1
-            self.counters.conventional_bytes += request.size_bytes
+        Every access pays the SM -> LLC partition hop on the network and is
+        then served by its partition: the conventional slice (and DRAM on a
+        miss), or the partition's Morpheus controller when cache-mode SMs
+        are present.  Time continues across ``run()`` calls so warm-up and
+        measurement share one continuous timeline (queue occupancies stay
+        valid).
+        """
+        if self.controllers:
+            self._replay_morpheus(trace)
         else:
-            dram_latency = self._dram_access(request, now + latency)
-            total += dram_latency
-            self.counters.conventional_bytes += request.size_bytes
-        if writeback is not None:
-            # An evicted dirty block always moves one full cache block to
-            # DRAM, regardless of the triggering request's size.
-            self.counters.writebacks += 1
-            self.counters.dram_bytes += self.gpu.block_size
-        self.counters.total_latency_cycles += total
+            self._replay_conventional(trace)
+        counters = self.counters
+        counters.llc_accesses += len(trace)
+        self._start_cycle += len(trace) * self.request_interval_cycles
+        counters.elapsed_cycles = max(
+            1.0, counters.elapsed_cycles + len(trace) * self.request_interval_cycles
+        )
+        return counters
 
-    def _account_morpheus(
-        self, outcome: AccessOutcome, request: MemoryRequest, noc_latency: float
-    ) -> None:
-        if outcome.hit_level == "llc":
-            self.counters.conventional_hits += 1
-            self.counters.conventional_bytes += request.size_bytes
-        elif outcome.hit_level == "extended_llc":
-            self.counters.extended_hits += 1
-            self.counters.extended_requests += 1
-            self.counters.extended_bytes += request.size_bytes
-        else:  # served by DRAM
-            if outcome.predicted_miss or outcome.false_positive:
-                self.counters.extended_requests += 1
+    def _replay_conventional(self, trace: MemoryTrace) -> None:
+        counters = self.counters
+        traverse = self.network.traverse
+        partitions = self.llc.partitions
+        dram_access = self.dram.access
+        block = self.gpu.block_size
+        llc_block = self.llc.config.block_size
+        num_partitions = self.llc.config.num_partitions
+        start = self._start_cycle
+        interval = self.request_interval_cycles
+        # Float counters accumulate in locals in their per-access order.
+        noc_bytes = counters.noc_bytes
+        conventional_bytes = counters.conventional_bytes
+        dram_bytes = counters.dram_bytes
+        total_latency = counters.total_latency_cycles
+        hits = dram_accesses = writebacks = 0
+        for index, entry in enumerate(trace):
+            now = start + index * interval
+            address = entry.address // block * block
+            partition_id = address // llc_block % num_partitions
+            latency = traverse(
+                partition_id, 32, now, block, now if now > 1.0 else 1.0
+            )
+            noc_bytes += 32 + block
+            hit, llc_latency, writeback = partitions[partition_id].access(
+                address, entry.is_write or entry.is_atomic, block, now
+            )
+            latency += llc_latency
+            conventional_bytes += block
+            if hit:
+                hits += 1
             else:
-                self.counters.conventional_bytes += request.size_bytes
-            if outcome.predicted_miss:
-                self.counters.predicted_misses += 1
-            if outcome.false_positive:
-                self.counters.false_positive_trips += 1
-        self.counters.writebacks += len(outcome.writebacks)
-        # Each evicted dirty block writes one full cache block back to DRAM.
-        self.counters.dram_bytes += len(outcome.writebacks) * self.gpu.block_size
-        self.counters.total_latency_cycles += noc_latency + outcome.latency_cycles
+                latency += dram_access(address, block, now + llc_latency)
+                dram_accesses += 1
+                dram_bytes += block
+            if writeback is not None:
+                # An evicted dirty block always moves one full cache block
+                # to DRAM, regardless of the triggering request's size.
+                writebacks += 1
+                dram_bytes += block
+            total_latency += latency
+        counters.noc_bytes = noc_bytes
+        counters.conventional_bytes = conventional_bytes
+        counters.dram_bytes = dram_bytes
+        counters.total_latency_cycles = total_latency
+        counters.conventional_hits += hits
+        counters.dram_accesses += dram_accesses
+        counters.writebacks += writebacks
+
+    def _replay_morpheus(self, trace: MemoryTrace) -> None:
+        # The controllers' DRAM and extended-NoC callbacks add to
+        # ``dram_bytes`` and ``noc_bytes`` mid-access, so those two stay on
+        # the counters; the others accumulate in locals.
+        counters = self.counters
+        traverse = self.network.traverse
+        controllers = self.controllers
+        block = self.gpu.block_size
+        llc_block = self.llc.config.block_size
+        num_partitions = self.llc.config.num_partitions
+        start = self._start_cycle
+        interval = self.request_interval_cycles
+        conventional_bytes = counters.conventional_bytes
+        extended_bytes = counters.extended_bytes
+        total_latency = counters.total_latency_cycles
+        conventional_hits = extended_hits = extended_requests = 0
+        predicted_misses = false_positive_trips = writebacks = 0
+        for index, entry in enumerate(trace):
+            now = start + index * interval
+            address = entry.address // block * block
+            partition_id = address // llc_block % num_partitions
+            noc_latency = traverse(
+                partition_id, 32, now, block, now if now > 1.0 else 1.0
+            )
+            counters.noc_bytes += 32 + block
+            hit_level, latency, victims, predicted_miss, false_positive, _ = controllers[
+                partition_id
+            ].access(address, entry.is_write or entry.is_atomic, block, now)
+            if hit_level == "llc":
+                conventional_hits += 1
+                conventional_bytes += block
+            elif hit_level == "extended_llc":
+                extended_hits += 1
+                extended_requests += 1
+                extended_bytes += block
+            else:  # served by DRAM
+                if predicted_miss or false_positive:
+                    extended_requests += 1
+                else:
+                    conventional_bytes += block
+                if predicted_miss:
+                    predicted_misses += 1
+                if false_positive:
+                    false_positive_trips += 1
+            if victims:
+                # Each evicted dirty block writes one full cache block back to DRAM.
+                writebacks += len(victims)
+                counters.dram_bytes += len(victims) * block
+            total_latency += noc_latency + latency
+        counters.conventional_bytes = conventional_bytes
+        counters.extended_bytes = extended_bytes
+        counters.total_latency_cycles = total_latency
+        counters.conventional_hits += conventional_hits
+        counters.extended_hits += extended_hits
+        counters.extended_requests += extended_requests
+        counters.predicted_misses += predicted_misses
+        counters.false_positive_trips += false_positive_trips
+        counters.writebacks += writebacks
 
     # -- derived metrics -----------------------------------------------------------------
 
@@ -281,13 +336,14 @@ class MemoryHierarchyEngine:
         measured without the cold-start transient.
         """
         from repro.interconnect.network import NetworkStats
+        from repro.memory.cache import CacheStats
 
         self.counters = HierarchyCounters()
         self.network.stats = NetworkStats()
         self.dram.total_accesses = 0
         self.dram.total_bytes = 0
         for partition in self.llc.partitions:
-            partition.cache.reset_stats()
+            partition.stats = CacheStats()
             partition.bytes_served = 0
             partition.requests_served = 0
         for controller in self.controllers:
@@ -303,5 +359,4 @@ class MemoryHierarchyEngine:
         for controller in self.controllers:
             controller.reset()
         self.counters = HierarchyCounters()
-        self._now = 0.0
         self._start_cycle = 0.0

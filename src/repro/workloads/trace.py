@@ -8,10 +8,8 @@ between the workload models and the memory-hierarchy simulation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, List, Sequence, Tuple
-
-from repro.memory.request import AccessType, MemoryRequest
+from dataclasses import dataclass
+from typing import Iterable, Iterator, List, Sequence
 
 
 @dataclass(frozen=True)
@@ -28,23 +26,6 @@ class TraceEntry:
             raise ValueError("address must be non-negative")
         if self.sm_id < 0:
             raise ValueError("sm_id must be non-negative")
-
-    @property
-    def access_type(self) -> AccessType:
-        """Access type of this entry."""
-        if self.is_atomic:
-            return AccessType.ATOMIC
-        return AccessType.STORE if self.is_write else AccessType.LOAD
-
-    def to_request(self, issue_cycle: int = 0, block_size: int = 128) -> MemoryRequest:
-        """Convert the entry into a :class:`~repro.memory.request.MemoryRequest`."""
-        return MemoryRequest(
-            address=(self.address // block_size) * block_size,
-            access_type=self.access_type,
-            sm_id=self.sm_id,
-            issue_cycle=issue_cycle,
-            size_bytes=block_size,
-        )
 
 
 class MemoryTrace:

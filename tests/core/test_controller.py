@@ -9,7 +9,6 @@ from repro.core.config import MorpheusConfig
 from repro.core.controller import MorpheusController, PredictorMode
 from repro.core.extended_llc import Compressibility, ExtendedLLC
 from repro.memory.llc import LLCConfig, LLCPartition
-from repro.memory.request import AccessType, MemoryRequest
 
 
 def make_controller(predictor: str = "bloom", cache_sms: int = 8, **config_kwargs):
@@ -29,7 +28,7 @@ class TestControllerRouting:
         rng = random.Random(5)
         for i in range(500):
             address = rng.randrange(0, 1 << 22) // 128 * 128
-            controller.access(MemoryRequest(address=address), now_cycle=i * 4.0)
+            controller.access(address, now_cycle=i * 4.0)
         assert controller.stats.conventional_requests > 0
         assert controller.stats.extended_requests > 0
         assert (
@@ -41,7 +40,7 @@ class TestControllerRouting:
         partition = LLCPartition(0, LLCConfig())
         controller = MorpheusController(partition, None, MorpheusConfig())
         for i in range(100):
-            controller.access(MemoryRequest(address=i * 128), now_cycle=float(i))
+            controller.access(i * 128, now_cycle=float(i))
         assert controller.stats.extended_requests == 0
         assert controller.stats.conventional_requests == 100
 
@@ -51,8 +50,8 @@ class TestControllerRouting:
         address = next(
             a for a in range(0, 1 << 22, 128) if controller.separator.is_extended(a)
         )
-        first = controller.access(MemoryRequest(address=address), 0.0)
-        second = controller.access(MemoryRequest(address=address), 100.0)
+        first = controller.access(address, now_cycle=0.0)
+        second = controller.access(address, now_cycle=100.0)
         assert first.hit_level == "dram"
         assert second.hit_level == "extended_llc"
         assert second.served_by_extended_llc
@@ -62,8 +61,8 @@ class TestControllerRouting:
         address = next(
             a for a in range(0, 1 << 22, 128) if not controller.separator.is_extended(a)
         )
-        miss = controller.access(MemoryRequest(address=address), 0.0)
-        hit = controller.access(MemoryRequest(address=address), 100.0)
+        miss = controller.access(address, now_cycle=0.0)
+        hit = controller.access(address, now_cycle=100.0)
         assert hit.hit_level == "llc"
         assert hit.latency_cycles < miss.latency_cycles
 
@@ -73,7 +72,7 @@ class TestPredictorModes:
         rng = random.Random(17)
         for i in range(accesses):
             address = rng.randrange(footprint_blocks) * 128
-            controller.access(MemoryRequest(address=address), now_cycle=i * 4.0)
+            controller.access(address, now_cycle=i * 4.0)
 
     def test_bloom_predictor_never_false_negative(self):
         controller = make_controller("bloom")
@@ -105,7 +104,7 @@ class TestPredictorModes:
             count = 900
             for i in range(count):
                 address = rng.randrange(4096) * 128
-                outcome = controller.access(MemoryRequest(address=address), now_cycle=i * 4.0)
+                outcome = controller.access(address, now_cycle=i * 4.0)
                 total += outcome.latency_cycles
             return total / count
 
@@ -119,9 +118,7 @@ class TestWritesAndOverheads:
         writebacks = 0
         for i in range(2500):
             address = rng.randrange(16384) * 128
-            outcome = controller.access(
-                MemoryRequest(address=address, access_type=AccessType.STORE), now_cycle=i * 4.0
-            )
+            outcome = controller.access(address, is_write=True, now_cycle=i * 4.0)
             writebacks += len(outcome.writebacks)
         assert writebacks > 0
 
@@ -140,6 +137,6 @@ class TestWritesAndOverheads:
 
     def test_reset_clears_stats(self):
         controller = make_controller()
-        controller.access(MemoryRequest(address=0), 0.0)
+        controller.access(0)
         controller.reset()
         assert controller.stats.requests == 0

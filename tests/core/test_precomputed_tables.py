@@ -116,7 +116,7 @@ def test_extended_sets_per_partition_unchanged(config_name, layout, num_partitio
         )
         expected = walking_extended_sets_per_partition(controller)
         assert controller.extended_sets_per_partition() == expected
-        assert controller._global_set(3) == partition_id * expected + 3
+        assert controller._global_set_base == partition_id * expected
 
 
 def test_extended_sets_without_extended_llc():

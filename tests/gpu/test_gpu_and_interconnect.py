@@ -3,7 +3,6 @@
 import pytest
 
 from repro.gpu.config import GPUConfig, RTX3080_CONFIG
-from repro.interconnect.crossbar import CrossbarLink, CrossbarSwitch
 from repro.interconnect.network import InterconnectConfig, InterconnectNetwork
 
 
@@ -90,16 +89,26 @@ class TestGPUConfig:
 
 class TestInterconnect:
     def test_link_serialization_and_queueing(self):
-        link = CrossbarLink(bytes_per_cycle=64, base_latency_cycles=10)
-        first = link.transfer(128, now_cycle=0.0)
-        second = link.transfer(128, now_cycle=0.0)
-        assert second > first  # the second transfer queues behind the first
+        network = InterconnectNetwork(
+            InterconnectConfig(bytes_per_cycle_per_port=64, one_way_latency_cycles=10)
+        )
+        first = network.traverse(0, 128, now_cycle=0.0)
+        second = network.traverse(0, 128, now_cycle=0.0)
+        assert second > first  # the second traversal queues behind the first
 
-    def test_switch_tracks_bytes(self):
-        switch = CrossbarSwitch(bytes_per_cycle=64, base_latency_cycles=5)
-        switch.send_request(32, 0.0)
-        switch.send_response(128, 0.0)
-        assert switch.total_bytes() == 160
+    def test_port_tracks_bytes(self):
+        network = InterconnectNetwork(
+            InterconnectConfig(bytes_per_cycle_per_port=64, one_way_latency_cycles=5)
+        )
+        network.traverse(3, 32, 0.0, response_bytes=128)
+        assert network.total_load_bytes() == 160
+
+    def test_non_positive_sizes_rejected(self):
+        network = InterconnectNetwork()
+        with pytest.raises(ValueError):
+            network.traverse(0, 0, 0.0)
+        with pytest.raises(ValueError):
+            network.traverse(0, 32, 0.0, response_bytes=0)
 
     def test_network_round_trip_latency(self):
         network = InterconnectNetwork()

@@ -57,10 +57,10 @@ class TestEngine:
         engine = MemoryHierarchyEngine(RTX3080_CONFIG, capacity_scale=1 / 32)
         generator = TraceGenerator(profile, 20, scale=1 / 32, seed=1)
         engine.run(generator.generate(2000))
-        occupancy_before = sum(p.cache.occupancy() for p in engine.llc.partitions)
+        occupancy_before = sum(p.occupancy() for p in engine.llc.partitions)
         engine.reset_counters()
         assert engine.counters.llc_accesses == 0
-        assert sum(p.cache.occupancy() for p in engine.llc.partitions) == occupancy_before
+        assert sum(p.occupancy() for p in engine.llc.partitions) == occupancy_before
 
 
 class TestSimulatorBasics:

@@ -138,3 +138,35 @@ def test_extended_set_running_bytes_match_resum(compression_enabled, base_ways, 
             for resident in llc_set.tags()
         )
         assert llc_set.occupancy_bytes() == resummed
+
+
+@given(
+    compression_enabled=st.booleans(),
+    base_ways=st.integers(min_value=1, max_value=6),
+    operations=st.lists(
+        st.tuples(
+            st.sampled_from(("access", "fill", "fill", "invalidate")),
+            st.integers(min_value=0, max_value=30),
+            st.sampled_from(list(CompressionLevel)),
+            st.booleans(),
+        ),
+        min_size=1,
+        max_size=200,
+    ),
+)
+@settings(max_examples=150, deadline=None)
+def test_extended_set_evicts_lowest_lru_counters_first(compression_enabled, base_ways, operations):
+    """The recency-ordered set evicts exactly as a minimum over LRU counters would."""
+    llc_set = ExtendedLLCSet(base_ways, compression_enabled=compression_enabled)
+    for kind, tag, level, flag in operations:
+        by_counter = sorted(llc_set.tags(), key=lambda t: llc_set.metadata(t).lru_counter)
+        if kind == "access":
+            llc_set.access(tag, is_write=flag)
+        elif kind == "fill":
+            evicted = llc_set.fill(tag, dirty=flag, compression=level)
+            assert [victim for victim, _ in evicted] == by_counter[: len(evicted)]
+        else:
+            llc_set.invalidate(tag)
+        assert llc_set.tags() == sorted(
+            llc_set.tags(), key=lambda t: llc_set.metadata(t).lru_counter
+        )

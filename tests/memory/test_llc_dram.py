@@ -4,7 +4,6 @@ import pytest
 
 from repro.memory.dram import DRAMConfig, DRAMModel
 from repro.memory.llc import BankedLLC, LLCConfig, LLCPartition
-from repro.memory.request import AccessType, MemoryRequest
 
 
 class TestLLCConfig:
@@ -28,33 +27,38 @@ class TestLLCConfig:
 class TestLLCPartition:
     def test_miss_then_hit(self):
         partition = LLCPartition(0, LLCConfig())
-        request = MemoryRequest(address=0)
-        hit, latency, _ = partition.access(request, 0.0)
+        hit, latency, _ = partition.access(0, False, 128, 0.0)
         assert not hit
         assert latency >= partition.config.hit_latency_cycles
-        hit, _, _ = partition.access(request, 10.0)
+        hit, _, _ = partition.access(0, False, 128, 10.0)
         assert hit
 
     def test_dirty_eviction_reports_writeback(self):
         config = LLCConfig(capacity_bytes=10 * 2048, associativity=1, num_partitions=10)
         partition = LLCPartition(0, config)
-        sets = partition.cache.num_sets
-        store = MemoryRequest(address=0, access_type=AccessType.STORE)
-        partition.access(store, 0.0)
-        conflicting = MemoryRequest(address=sets * 128)
-        _, _, writeback = partition.access(conflicting, 1.0)
+        sets = partition.num_sets
+        partition.access(0, True, 128, 0.0)
+        _, _, writeback = partition.access(sets * 128, False, 128, 1.0)
         assert writeback == 0
+
+    def test_invalid_access_rejected(self):
+        partition = LLCPartition(0, LLCConfig())
+        with pytest.raises(ValueError):
+            partition.access(-128, False, 128, 0.0)
+        with pytest.raises(ValueError):
+            partition.access(0, False, 0, 0.0)
 
     def test_throughput_accounting(self):
         partition = LLCPartition(0, LLCConfig())
-        partition.access(MemoryRequest(address=0), 0.0)
+        partition.access(0, False, 128, 0.0)
         assert partition.throughput_gbps(elapsed_cycles=100.0) > 0.0
 
     def test_reset(self):
         partition = LLCPartition(0, LLCConfig())
-        partition.access(MemoryRequest(address=0), 0.0)
+        partition.access(0, False, 128, 0.0)
         partition.reset()
-        assert partition.cache.stats.accesses == 0
+        assert partition.stats.accesses == 0
+        assert partition.occupancy() == 0
         assert partition.requests_served == 0
 
 
@@ -65,20 +69,19 @@ class TestBankedLLC:
 
     def test_requests_routed_by_address(self):
         llc = BankedLLC()
-        request = MemoryRequest(address=128 * 3)
-        assert llc.partition_for(request.address).partition_id == 3
+        assert llc.partition_for(128 * 3).partition_id == 3
 
     def test_aggregate_stats(self):
         llc = BankedLLC()
         for i in range(20):
-            llc.access(MemoryRequest(address=i * 128), now_cycle=float(i))
+            llc.access(i * 128, False, 128, now_cycle=float(i))
         stats = llc.aggregate_stats()
         assert stats.accesses == 20
         assert stats.misses == 20
 
     def test_reset(self):
         llc = BankedLLC()
-        llc.access(MemoryRequest(address=0))
+        llc.access(0, False, 128)
         llc.reset()
         assert llc.aggregate_stats().accesses == 0
 
@@ -106,32 +109,39 @@ class TestDRAMConfig:
 class TestDRAMModel:
     def test_latency_includes_core_latency(self):
         dram = DRAMModel()
-        latency = dram.access(MemoryRequest(address=0), now_cycle=0.0)
+        latency = dram.access(0, 128, now_cycle=0.0)
         assert latency >= dram.config.access_latency_cycles * dram.config.row_buffer_hit_latency_factor
 
     def test_queueing_under_load(self):
         config = DRAMConfig(num_channels=1, bandwidth_gbps_per_channel=1.44)  # 1 B/cycle
         dram = DRAMModel(config)
         # Saturate the single channel: issue many requests at the same cycle.
-        latencies = [dram.access(MemoryRequest(address=0), now_cycle=0.0) for _ in range(10)]
+        latencies = [dram.access(0, 128, now_cycle=0.0) for _ in range(10)]
         assert latencies[-1] > latencies[0]
 
     def test_channel_interleaving(self):
         dram = DRAMModel()
         for i in range(10):
-            dram.access(MemoryRequest(address=i * 128), now_cycle=0.0)
+            dram.access(i * 128, 128, now_cycle=0.0)
         per_channel = dram.per_channel_accesses()
         assert all(count == 1 for count in per_channel.values())
+
+    def test_invalid_access_rejected(self):
+        dram = DRAMModel()
+        with pytest.raises(ValueError):
+            dram.access(-1, 128, 0.0)
+        with pytest.raises(ValueError):
+            dram.access(0, 0, 0.0)
 
     def test_bandwidth_utilization_bounded(self):
         dram = DRAMModel()
         for i in range(100):
-            dram.access(MemoryRequest(address=i * 128), now_cycle=float(i))
+            dram.access(i * 128, 128, now_cycle=float(i))
         assert 0.0 < dram.bandwidth_utilization(elapsed_cycles=100.0) <= 1.0
 
     def test_reset(self):
         dram = DRAMModel()
-        dram.access(MemoryRequest(address=0), 0.0)
+        dram.access(0, 128, 0.0)
         dram.reset()
         assert dram.total_accesses == 0
         assert dram.total_bytes == 0

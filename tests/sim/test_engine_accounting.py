@@ -5,6 +5,8 @@ extended hit or a DRAM fetch — and every extended-routed request is an
 extended hit, a predicted miss or a wasted (false-positive) round trip.
 """
 
+import functools
+
 import pytest
 
 from repro.sim.simulator import GPUSimulator, SimulationConfig
@@ -22,9 +24,13 @@ LEAVES = {
 }
 
 
-@pytest.fixture(scope="module", params=sorted(LEAVES))
-def leaf(request):
-    morpheus, compute_sms, cache_sms = LEAVES[request.param]
+#: Leaves whose controllers run the Bloom-filter predictor.
+BLOOM_LEAVES = ("Morpheus-ALL", "Morpheus-Basic")
+
+
+@functools.lru_cache(maxsize=None)
+def _replay(name):
+    morpheus, compute_sms, cache_sms = LEAVES[name]
     config = SimulationConfig(
         morpheus=morpheus,
         num_compute_sms=compute_sms,
@@ -33,10 +39,15 @@ def leaf(request):
         capacity_scale=TINY_FIDELITY.capacity_scale,
         trace_accesses=TINY_FIDELITY.trace_accesses,
         warmup_accesses=TINY_FIDELITY.warmup_accesses,
-        system_name=request.param,
+        system_name=name,
         seed=1,
     )
-    return request.param, GPUSimulator(config).replay(get_application("spmv"))
+    return GPUSimulator(config).replay(get_application("spmv"))
+
+
+@pytest.fixture(scope="module", params=sorted(LEAVES))
+def leaf(request):
+    return request.param, _replay(request.param)
 
 
 def test_every_access_is_served_once(leaf):
@@ -62,3 +73,18 @@ def test_every_extended_request_has_one_outcome(leaf):
         assert counters.false_positive_trips == 0
     if name.endswith("/none"):
         assert counters.predicted_misses == 0
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason=(
+        "known defect: reset_counters re-initialises ControllerStats but not "
+        "controller.predictor.stats, so warm-up predictions leak into the "
+        "measured predictor statistics; the fix moves replay digests and waits "
+        "for a REPLAY_SCHEMA_VERSION bump"
+    ),
+)
+@pytest.mark.parametrize("name", BLOOM_LEAVES)
+def test_predictor_counts_only_measured_requests(name):
+    measurement = _replay(name)
+    assert measurement.predictor.predictions == measurement.counters.extended_requests

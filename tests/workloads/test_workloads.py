@@ -65,13 +65,6 @@ class TestApplications:
 
 
 class TestTrace:
-    def test_entry_to_request(self):
-        entry = TraceEntry(address=1000, is_write=True, sm_id=3)
-        request = entry.to_request(issue_cycle=7)
-        assert request.address == 896
-        assert request.is_write
-        assert request.sm_id == 3
-
     def test_footprint(self):
         trace = MemoryTrace([TraceEntry(address=i * 128) for i in range(10)])
         assert trace.unique_blocks() == 10
