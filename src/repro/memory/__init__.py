@@ -3,11 +3,11 @@
 This subpackage provides the building blocks of the baseline GPU memory
 hierarchy that Morpheus extends:
 
-* :mod:`repro.memory.request` -- memory request/response records that flow
-  through every component of the simulated hierarchy.
+* :mod:`repro.memory.request` -- memory request/response records (the
+  Morpheus controller's query logic buffers them).
 * :mod:`repro.memory.replacement` -- replacement policies (LRU and friends).
-* :mod:`repro.memory.cache` -- a generic set-associative cache model used for
-  the conventional LLC slices.
+* :mod:`repro.memory.cache` -- a generic set-associative cache model with
+  pluggable replacement, and the ``CacheStats`` the LLC slices report.
 * :mod:`repro.memory.address_mapping` -- static address interleaving across
   LLC partitions and DRAM channels.
 * :mod:`repro.memory.llc` -- the banked conventional last level cache.

@@ -1,9 +1,10 @@
 """A generic set-associative cache model.
 
-This is the structure behind the conventional LLC slices.  It is a
-*functional* model: it tracks tags, valid and dirty bits and replacement
-state, and reports hits, misses and dirty evictions.  Timing is layered on
-top by the component that owns it (:mod:`repro.memory.llc`).
+It is a *functional* model: it tracks tags, valid and dirty bits and
+replacement state, and reports hits, misses and dirty evictions.  The
+conventional LLC slices (:mod:`repro.memory.llc`) keep their own LRU sets
+on the replay path and report the same :class:`CacheStats`; the LRU
+``SetAssociativeCache`` is their reference model in the tests.
 """
 
 from __future__ import annotations

@@ -56,6 +56,10 @@ class TestControllerRouting:
         assert second.hit_level == "extended_llc"
         assert second.served_by_extended_llc
 
+    def test_negative_address_rejected(self):
+        with pytest.raises(ValueError):
+            make_controller().access(-128)
+
     def test_conventional_hit_latency_below_miss_latency(self):
         controller = make_controller()
         address = next(
