@@ -41,6 +41,10 @@ class TestLLCPartition:
         _, _, writeback = partition.access(sets * 128, False, 128, 1.0)
         assert writeback == 0
 
+    def test_non_power_of_two_block_rejected(self):
+        with pytest.raises(ValueError):
+            LLCPartition(0, LLCConfig(capacity_bytes=10 * 96 * 16, block_size=96))
+
     def test_invalid_access_rejected(self):
         partition = LLCPartition(0, LLCConfig())
         with pytest.raises(ValueError):
